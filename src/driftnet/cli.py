@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .evaluation import (
     PRESETS,
     ExperimentConfig,
     describe_presets,
+    emit_csv,
     run_experiment_detailed,
     _build_instances,
+    _write_lines,
 )
 from .streams import StreamFormatError
 
@@ -64,14 +66,6 @@ def parse_config_file(path) -> dict[str, str]:
     return mapping
 
 
-def _to_int(value: str) -> int:
-    return int(value, 10)
-
-
-def _to_float(value: str) -> float:
-    return float(value)
-
-
 def _to_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("true", "yes", "on", "1"):
@@ -108,39 +102,38 @@ def _to_error_scale(value: str):
     return float(value)
 
 
-_CONFIG_KEYS = {
-    "algorithm": ("algorithm", str),
-    "length": ("length", _to_int),
-    "dim": ("dim", _to_int),
-    "drift_times": ("drift_times", _to_int_tuple),
-    "drift_widths": ("drift_widths", _to_int_tuple),
-    "data": ("data_path", str),
-    "format": ("data_format", str),
-    "target": ("target", _to_target),
-    "learner": ("learner", str),
-    "learning_rate": ("learning_rate", _to_float),
-    "ema_window": ("ema_window", _to_int),
-    "metric": ("metric", str),
-    "kmax": ("k_max", _to_int),
-    "ma": ("m_a", _to_int),
-    "period": ("period", _to_int),
-    "threshold": ("threshold", _to_float),
-    "delta": ("delta", _to_float),
-    "buffer_size": ("buffer_size", _to_int),
-    "check_interval": ("adwin_check_interval", _to_int),
-    "capacity": ("adwin_capacity", _to_int),
-    "error_scale": ("error_scale", _to_error_scale),
-    "beta": ("beta", _to_float),
-    "gamma": ("gamma", _to_float),
-    "tau": ("tau", _to_float),
-    "max_experts": ("max_experts", _to_int),
-    "seeds": ("seeds", _to_seeds),
-    "report_every": ("report_every", _to_int),
-    "window_size": ("window_size", _to_int),
-    "out": ("out", str),
-    "drift_log": ("drift_log_out", str),
-    "timing": ("record_timing", _to_bool),
+# config keys are the ExperimentConfig field names, except these aliases
+_KEY_ALIASES = {
+    "data_path": "data",
+    "data_format": "format",
+    "k_max": "kmax",
+    "m_a": "ma",
+    "adwin_check_interval": "check_interval",
+    "adwin_capacity": "capacity",
+    "drift_log_out": "drift_log",
+    "record_timing": "timing",
 }
+_CONVERTERS = {"seeds": _to_seeds, "target": _to_target, "error_scale": _to_error_scale}
+_TYPE_CONVERTERS = {
+    "str": str,
+    "str | None": str,
+    "int": int,
+    "float": float,
+    "bool": _to_bool,
+    "tuple[int, ...]": _to_int_tuple,
+}
+_CONFIG_KEYS = {
+    _KEY_ALIASES.get(f.name, f.name): (f.name, _CONVERTERS.get(f.name) or _TYPE_CONVERTERS[f.type])
+    for f in fields(ExperimentConfig)
+}
+
+
+def _preset_config(name: str, full_scale: bool) -> ExperimentConfig:
+    preset = PRESETS.get(name)
+    if preset is None:
+        known = ", ".join(sorted(PRESETS))
+        raise _UsageError(f"unknown preset {name!r}; available: {known}")
+    return preset.full if full_scale else preset.desk
 
 
 def config_from_mapping(mapping: dict[str, str], full_scale: bool = False) -> ExperimentConfig:
@@ -152,14 +145,7 @@ def config_from_mapping(mapping: dict[str, str], full_scale: bool = False) -> Ex
     """
     mapping = dict(mapping)
     preset_name = mapping.pop("preset", None)
-    if preset_name is not None:
-        preset = PRESETS.get(preset_name)
-        if preset is None:
-            known = ", ".join(sorted(PRESETS))
-            raise _UsageError(f"unknown preset {preset_name!r}; available: {known}")
-        config = preset.full if full_scale else preset.desk
-    else:
-        config = ExperimentConfig()
+    config = ExperimentConfig() if preset_name is None else _preset_config(preset_name, full_scale)
     updates = {}
     for key, value in mapping.items():
         entry = _CONFIG_KEYS.get(key)
@@ -215,39 +201,15 @@ def _build_parser() -> _Parser:
 
 def _cmd_run(args) -> int:
     mapping = parse_config_file(args.config)
+    overrides = {"seeds": args.seed, "length": args.length, "window_size": args.window_size,
+                 "metric": args.metric, "delta": args.delta, "kmax": args.kmax, "out": args.out}
+    mapping.update((key, str(value)) for key, value in overrides.items() if value is not None)
     config = config_from_mapping(mapping, full_scale=args.full)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seeds"] = (args.seed,)
-    if args.length is not None:
-        overrides["length"] = args.length
-    if args.window_size is not None:
-        overrides["window_size"] = args.window_size
-    if args.metric is not None:
-        overrides["metric"] = args.metric
-    if args.delta is not None:
-        overrides["delta"] = args.delta
-    if args.kmax is not None:
-        overrides["k_max"] = args.kmax
-    if args.out is not None:
-        overrides["out"] = args.out
-    if overrides:
-        config = replace(config, **overrides)
-        try:
-            config.validate()
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
     rows, drift_entries = run_experiment_detailed(config, max_workers=args.workers)
     if config.out is not None:
         print(f"wrote {len(rows)} result rows to {config.out}")
     else:
-        sys.stdout.write("algorithm,seed,instance_index,windowed_rmse,"
-                         "network_size,cumulative_drifts,elapsed_ns\n")
-        for r in rows:
-            sys.stdout.write(
-                f"{r.algorithm},{r.seed},{r.instance_index},{r.windowed_rmse!r},"
-                f"{r.network_size},{r.cumulative_drifts},{r.elapsed_ns}\n"
-            )
+        emit_csv(rows, sys.stdout)
     if config.drift_log_out is not None:
         print(f"wrote {len(drift_entries)} drift events to {config.drift_log_out}")
     return 0
@@ -255,11 +217,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.preset is not None:
-        preset = PRESETS.get(args.preset)
-        if preset is None:
-            known = ", ".join(sorted(PRESETS))
-            raise _UsageError(f"unknown preset {args.preset!r}; available: {known}")
-        config = preset.full if args.full else preset.desk
+        config = _preset_config(args.preset, args.full)
         if config.data_path is not None:
             raise _UsageError(f"preset {args.preset!r} reads a dataset file; "
                               "gen only writes synthetic streams")
@@ -279,21 +237,11 @@ def _cmd_gen(args) -> int:
     if len(config.drift_times) != len(config.drift_widths):
         raise _UsageError("drift_times and drift_widths lengths differ")
 
-    def write(fh):
-        names = ",".join(f"x{i}" for i in range(config.dim))
-        fh.write(f"{names},y\n")
-        for instance in _build_instances(config, args.seed):
-            xs = ",".join(repr(float(v)) for v in instance.x)
-            fh.write(f"{xs},{instance.y!r}\n")
-
-    if args.out is None:
-        write(sys.stdout)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                write(fh)
-        except OSError as exc:
-            raise OSError(f"cannot write stream to {args.out}: {exc}") from exc
+    header = ",".join(f"x{i}" for i in range(config.dim)) + ",y"
+    lines = (",".join(repr(float(v)) for v in instance.x) + f",{instance.y!r}"
+             for instance in _build_instances(config, args.seed))
+    _write_lines(sys.stdout if args.out is None else args.out, header, lines, "stream")
+    if args.out is not None:
         print(f"wrote {config.length} instances to {args.out}")
     return 0
 

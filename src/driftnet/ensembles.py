@@ -29,7 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .adwin import Adwin
 from .learners import OnlineRegressor
@@ -48,7 +48,8 @@ class ErrorScale:
     Either a fixed known scale (for synthetic streams the target range
     is known in advance) or a running maximum over the first ``warmup``
     observed errors, frozen afterwards so one late outlier cannot
-    rescale history.
+    rescale history. The warm-up lasts until some error is nonzero, so
+    an all-zero start cannot freeze the scale at 0.
     """
 
     def __init__(self, fixed: float | None = None, warmup: int = 500):
@@ -68,7 +69,7 @@ class ErrorScale:
     def observe(self, error: float) -> None:
         if self.fixed is not None:
             return
-        if self._observed < self.warmup:
+        if self._observed < self.warmup or self._running_max == 0.0:
             self._running_max = max(self._running_max, abs(error))
             self._observed += 1
 
@@ -197,58 +198,53 @@ class ScaleFreeRegressor:
         """Centrality-weighted ensemble forecast (no state change)."""
         return self._predict_all(x)[0]
 
+    def drift_indices(self) -> list[int]:
+        return [event.index for event in self.drift_log]
+
     def process(self, instance: Instance) -> float:
         """Test-then-train one instance; returns the pre-train forecast."""
-        if self.config.mode == "adwin":
-            return self._process_adwin(instance)
-        return self._process_period(instance)
-
-    def _record_node_errors(self, preds: dict[int, float], y: float) -> None:
+        x, y = instance.x, instance.y
+        forecast, preds = self._predict_all(x)
         for v, h in preds.items():
             self.network.nodes[v].record_error(h - y)
-
-    def _train_all(self, x, y: float) -> None:
         for v in self.network.node_ids():
             self.learners[v].update(x, y)
-
-    def _process_adwin(self, instance: Instance) -> float:
-        x, y = instance.x, instance.y
-        forecast, preds = self._predict_all(x)
-        self._record_node_errors(preds, y)
-        self._train_all(x, y)
         self.buffer.append(instance)
-        error = abs(forecast - y)
-        self.scale.observe(error)
-        if self.detector.add(self.scale.normalize(error)):
+        fired = self._trigger(forecast - y, instance.index)
+        if fired is not None:
+            self._evolve(*fired)
+        self.instances_seen += 1
+        return forecast
+
+    def _trigger(self, diff: float, index: int) -> tuple[list[Instance], DriftEvent] | None:
+        """Feed one ensemble error to the evolution trigger.
+
+        Returns the training window and the event when the trigger
+        fires, otherwise None.
+        """
+        if self.config.mode == "adwin":
+            error = abs(diff)
+            self.scale.observe(error)
+            if not self.detector.add(self.scale.normalize(error)):
+                return None
             width_before, width_after = self.detector.last_cut
             depth = min(width_after, len(self.buffer))
-            window = list(self.buffer)[-depth:] if depth else []
-            self._evolve(window, instance.index, width_before, width_after)
-        self.instances_seen += 1
-        return forecast
-
-    def _process_period(self, instance: Instance) -> float:
-        x, y = instance.x, instance.y
-        forecast, preds = self._predict_all(x)
-        self._record_node_errors(preds, y)
-        self.buffer.append(instance)
-        self._train_all(x, y)
-        diff = forecast - y
+            window = list(self.buffer)[len(self.buffer) - depth:]
+            return window, DriftEvent(index, width_before, width_after)
         self._period_sq_sum += diff * diff
         self._period_count += 1
-        if self._period_count >= self.config.period:
-            period_rmse = math.sqrt(self._period_sq_sum / self._period_count)
-            if period_rmse > self.config.threshold:
-                self._evolve(list(self.buffer), instance.index)
-            self.buffer.clear()
-            self._period_sq_sum = 0.0
-            self._period_count = 0
-        self.instances_seen += 1
-        return forecast
+        if self._period_count < self.config.period:
+            return None
+        period_rmse = math.sqrt(self._period_sq_sum / self._period_count)
+        window = list(self.buffer)
+        self.buffer.clear()
+        self._period_sq_sum = 0.0
+        self._period_count = 0
+        return (window, DriftEvent(index)) if period_rmse > self.config.threshold else None
 
-    def _evolve(self, training_window: list[Instance], at_index: int,
-                width_before: int | None = None, width_after: int | None = None) -> None:
+    def _evolve(self, training_window: list[Instance], event: DriftEvent) -> None:
         """Replace capacity-worst expert (if at capacity) with a fresh one."""
+        at_index = event.index
         if len(self.network) >= self.config.k_max:
             victim = self.network.worst_node()
             self.network.remove_node(victim, self.rng)
@@ -264,7 +260,7 @@ class ScaleFreeRegressor:
         self.network.add_node(new_id, self.rng, born_at=at_index)
         self.learners[new_id] = fresh
         self._refresh_zetas()
-        self.drift_log.append(DriftEvent(at_index, width_before, width_after))
+        self.drift_log.append(event)
         if self.snapshot_dir is not None:
             self.network.dump_edge_list(f"{self.snapshot_dir}/network_{at_index}.edges")
 
@@ -304,6 +300,9 @@ class AddExpRegressor:
     @property
     def size(self) -> int:
         return len(self.experts)
+
+    def drift_indices(self) -> list[int]:
+        return list(self.addition_log)
 
     def predict(self, x) -> float:
         total = math.fsum(self.weights)

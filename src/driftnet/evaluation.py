@@ -20,16 +20,15 @@ import csv
 import math
 import os
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 from .ensembles import AddExpRegressor, ScaleFreeRegressor, SfnrConfig
 from .learners import EmaForecaster, OnlineRegressor, RunningMeanRegressor, SgdLinearRegressor
+from .network import SquaredErrorWindow
 from .prng import derive_seed
 from .streams import (
     DriftStreamSpec,
-    Instance,
     generate_drift_stream,
     make_hyperplane_concept,
     parse_regression_csv,
@@ -43,37 +42,19 @@ ALGORITHMS = ("sfnr_adwin", "sfnr_period", "addexp", "single_learner", "ema")
 LEARNERS = ("linear", "ema", "mean")
 
 
-class PrequentialWindow:
-    """Sliding window of squared errors reporting windowed RMSE."""
+class PrequentialWindow(SquaredErrorWindow):
+    """Sliding window of squared prediction errors reporting windowed RMSE."""
 
     def __init__(self, window_size: int = 10_000):
         if window_size < 1:
             raise ValueError("window_size must be positive")
+        super().__init__(window_size)
         self.window_size = window_size
-        self._buffer: deque[float] = deque(maxlen=window_size)
-        self._sum = 0.0
-        self._since_resync = 0
-
-    def __len__(self) -> int:
-        return len(self._buffer)
 
     def update(self, prediction: float, truth: float) -> float:
         """Push one squared error; return the current windowed RMSE."""
-        sq = (float(prediction) - float(truth)) ** 2
-        if len(self._buffer) == self.window_size:
-            self._sum -= self._buffer[0]
-        self._buffer.append(sq)
-        self._sum += sq
-        self._since_resync += 1
-        if self._since_resync >= self.window_size:
-            self._sum = math.fsum(self._buffer)
-            self._since_resync = 0
+        self.record_error(float(prediction) - float(truth))
         return self.rmse()
-
-    def rmse(self) -> float:
-        if not self._buffer:
-            return 0.0
-        return math.sqrt(max(self._sum, 0.0) / len(self._buffer))
 
 
 @dataclass(frozen=True)
@@ -191,73 +172,29 @@ def _build_prototype(config: ExperimentConfig) -> OnlineRegressor:
     return RunningMeanRegressor()
 
 
-class _SingleRunner:
-    """Adapter giving a bare learner the ensemble process() shape."""
-
-    def __init__(self, model: OnlineRegressor):
-        self.model = model
-
-    def process(self, instance: Instance) -> float:
-        prediction = self.model.predict(instance.x)
-        self.model.update(instance.x, instance.y)
-        return prediction
-
-    @property
-    def size(self) -> int:
-        return 1
-
-    def drift_indices(self) -> list[int]:
-        return []
-
-
-class _EnsembleRunner:
-    def __init__(self, model):
-        self.model = model
-
-    def process(self, instance: Instance) -> float:
-        return self.model.process(instance)
-
-    @property
-    def size(self) -> int:
-        return self.model.size
-
-    def drift_indices(self) -> list[int]:
-        if isinstance(self.model, AddExpRegressor):
-            return list(self.model.addition_log)
-        return [event.index for event in self.model.drift_log]
-
-
 def _build_algorithm(config: ExperimentConfig, seed: int):
+    """The model for one seed: anything with ``process``, ``size`` and ``drift_indices``."""
     prototype = _build_prototype(config)
     scale = _resolved_error_scale(config)
     if config.algorithm in ("sfnr_adwin", "sfnr_period"):
-        sfnr = SfnrConfig(
-            metric=config.metric,
-            k_max=config.k_max,
-            m_a=config.m_a,
-            mode="adwin" if config.algorithm == "sfnr_adwin" else "period",
-            period=config.period,
-            threshold=config.threshold,
-            delta=config.delta,
-            buffer_size=config.buffer_size,
-            error_scale=scale,
-            adwin_capacity=config.adwin_capacity,
-            adwin_check_interval=config.adwin_check_interval,
-        )
-        return _EnsembleRunner(ScaleFreeRegressor(prototype, sfnr, seed=derive_seed(seed, 0)))
+        shared = {f.name: getattr(config, f.name) for f in fields(SfnrConfig)
+                  if hasattr(config, f.name)}
+        sfnr = SfnrConfig(**{**shared, "mode": config.algorithm.removeprefix("sfnr_"),
+                             "error_scale": scale})
+        return ScaleFreeRegressor(prototype, sfnr, seed=derive_seed(seed, 0))
     if config.algorithm == "addexp":
-        return _EnsembleRunner(AddExpRegressor(
+        return AddExpRegressor(
             prototype, beta=config.beta, gamma=config.gamma, tau=config.tau,
             max_experts=config.max_experts, error_scale=scale,
-        ))
+        )
     if config.algorithm == "ema":
-        return _SingleRunner(EmaForecaster(config.ema_window))
-    return _SingleRunner(prototype)
+        return EmaForecaster(config.ema_window)
+    return prototype
 
 
 def _run_single_seed(config: ExperimentConfig, seed: int) -> tuple[list[ResultRow], list[tuple[str, int, int]]]:
     instances = _build_instances(config, seed)
-    runner = _build_algorithm(config, seed)
+    model = _build_algorithm(config, seed)
     window = PrequentialWindow(config.window_size)
     rows: list[ResultRow] = []
     count = 0
@@ -270,13 +207,13 @@ def _run_single_seed(config: ExperimentConfig, seed: int) -> tuple[list[ResultRo
             seed=seed,
             instance_index=count,
             windowed_rmse=window.rmse(),
-            network_size=runner.size,
-            cumulative_drifts=len(runner.drift_indices()),
+            network_size=model.size,
+            cumulative_drifts=len(model.drift_indices()),
             elapsed_ns=elapsed,
         )
 
     for instance in instances:
-        prediction = runner.process(instance)
+        prediction = model.process(instance)
         if not math.isfinite(prediction):
             raise RuntimeError(
                 f"{config.algorithm} produced a non-finite prediction at instance "
@@ -288,7 +225,7 @@ def _run_single_seed(config: ExperimentConfig, seed: int) -> tuple[list[ResultRo
             rows.append(checkpoint())
     if count % config.report_every != 0:
         rows.append(checkpoint())
-    drift_entries = [(config.algorithm, seed, idx) for idx in runner.drift_indices()]
+    drift_entries = [(config.algorithm, seed, idx) for idx in model.drift_indices()]
     return rows, drift_entries
 
 
@@ -327,19 +264,28 @@ def run_experiment(config: ExperimentConfig, max_workers: int = 1) -> list[Resul
     return run_experiment_detailed(config, max_workers=max_workers)[0]
 
 
-def emit_csv(rows, path) -> None:
-    """Write result rows as CSV, ordered by (seed, instance index)."""
-    ordered = sorted(rows, key=lambda r: (r.seed, r.instance_index, r.algorithm))
+def _write_lines(target, header: str, lines, what: str) -> None:
+    """Write a header and lines to an open stream or to a file path."""
+    if hasattr(target, "write"):
+        target.write(header + "\n")
+        target.writelines(line + "\n" for line in lines)
+        return
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(RESULT_HEADER + "\n")
-            for r in ordered:
-                fh.write(
-                    f"{r.algorithm},{r.seed},{r.instance_index},{r.windowed_rmse!r},"
-                    f"{r.network_size},{r.cumulative_drifts},{r.elapsed_ns}\n"
-                )
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            _write_lines(fh, header, lines, what)
     except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {target}: {exc}") from exc
+
+
+def emit_csv(rows, path) -> None:
+    """Write result rows as CSV, ordered by (seed, instance index).
+
+    ``path`` is a file path or an open text stream.
+    """
+    ordered = sorted(rows, key=lambda r: (r.seed, r.instance_index, r.algorithm))
+    _write_lines(path, RESULT_HEADER, (
+        f"{r.algorithm},{r.seed},{r.instance_index},{r.windowed_rmse!r},"
+        f"{r.network_size},{r.cumulative_drifts},{r.elapsed_ns}" for r in ordered), "results")
 
 
 def parse_result_csv(path) -> list[ResultRow]:
@@ -366,13 +312,8 @@ def parse_result_csv(path) -> list[ResultRow]:
 def emit_drift_log(entries, path) -> None:
     """Write drift events as CSV rows (algorithm, seed, instance_index)."""
     ordered = sorted(entries, key=lambda e: (e[1], e[2], e[0]))
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(DRIFT_LOG_HEADER + "\n")
-            for algorithm, seed, index in ordered:
-                fh.write(f"{algorithm},{seed},{index}\n")
-    except OSError as exc:
-        raise OSError(f"cannot write drift log to {path}: {exc}") from exc
+    _write_lines(path, DRIFT_LOG_HEADER,
+                 (f"{algorithm},{seed},{index}" for algorithm, seed, index in ordered), "drift log")
 
 
 def summarize(rows) -> list[tuple[str, int, float, float, int]]:

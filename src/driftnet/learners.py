@@ -5,7 +5,9 @@ mutates state, ``update(x, y)`` consumes one instance in O(features),
 and ``clone_fresh()`` returns an untrained learner with the same
 configuration. The ensemble treats experts purely through this
 interface, so heavier regressors can be plugged in later without
-touching ensemble code.
+touching ensemble code. A bare learner also runs on its own through
+the same ``process`` / ``size`` / ``drift_indices`` shape as the
+ensembles.
 """
 
 from __future__ import annotations
@@ -30,6 +32,21 @@ class OnlineRegressor(ABC):
     @abstractmethod
     def clone_fresh(self) -> "OnlineRegressor":
         """New untrained learner of the same kind and configuration."""
+
+    def process(self, instance) -> float:
+        """Test-then-train one instance; returns the pre-train forecast."""
+        prediction = self.predict(instance.x)
+        self.update(instance.x, instance.y)
+        return prediction
+
+    @property
+    def size(self) -> int:
+        """Experts in the model: a bare learner is one."""
+        return 1
+
+    def drift_indices(self) -> list[int]:
+        """Instance indices of evolution triggers: a bare learner has none."""
+        return []
 
 
 class EmaForecaster(OnlineRegressor):

@@ -27,8 +27,6 @@ import numpy as np
 
 CENTRALITY_METRICS = ("degree", "closeness", "betweenness", "eigenvector", "pagerank")
 
-_RESYNC_EVERY = 4096  # exact error-window resummation cadence
-
 
 def node_rmse(errors) -> float:
     """Root mean squared error over a node's recorded absolute errors.
@@ -108,37 +106,54 @@ def weighted_sample_without_replacement(probs, k: int, rng: np.random.Generator)
     return picks
 
 
-class NodeStats:
-    """Error bookkeeping for one expert node."""
+class SquaredErrorWindow:
+    """Sliding window of squared errors with a running sum.
 
-    __slots__ = ("error_window", "zeta", "born_at", "_sumsq", "_since_resync")
+    The running sum is exactly re-summed with ``fsum`` once per window
+    length of pushes, so incremental float drift never accumulates.
+    """
 
-    def __init__(self, window_len: int, born_at: int = 0):
-        self.error_window: deque[float] = deque(maxlen=window_len)
-        self.zeta = 1.0
-        self.born_at = born_at
-        self._sumsq = 0.0
-        self._since_resync = 0
+    __slots__ = ("_squares", "_sum", "_pushes")
+
+    def __init__(self, length: int):
+        self._squares: deque[float] = deque(maxlen=length)
+        self._sum = 0.0
+        self._pushes = 0
+
+    def __len__(self) -> int:
+        return len(self._squares)
 
     def record_error(self, error: float) -> None:
-        error = abs(float(error))
-        if len(self.error_window) == self.error_window.maxlen:
-            evicted = self.error_window[0]
-            self._sumsq -= evicted * evicted
-        self.error_window.append(error)
-        self._sumsq += error * error
-        self._since_resync += 1
-        if self._since_resync >= _RESYNC_EVERY:
-            # periodic exact resummation keeps incremental float drift
-            # from ever accumulating past tolerance
-            self._sumsq = math.fsum(e * e for e in self.error_window)
-            self._since_resync = 0
+        error = float(error)
+        sq = error * error
+        squares = self._squares
+        if len(squares) == squares.maxlen:
+            self._sum -= squares[0]
+        squares.append(sq)
+        self._sum += sq
+        self._pushes += 1
+        if self._pushes == squares.maxlen:
+            self._sum = math.fsum(squares)
+            self._pushes = 0
 
-    @property
-    def phi(self) -> float:
-        if not self.error_window:
+    def rmse(self) -> float:
+        """RMSE over the window; 0 while it is empty."""
+        if not self._squares:
             return 0.0
-        return math.sqrt(max(self._sumsq, 0.0) / len(self.error_window))
+        return math.sqrt(max(self._sum, 0.0) / len(self._squares))
+
+
+class NodeStats(SquaredErrorWindow):
+    """Error bookkeeping for one expert node: ``phi`` is its windowed RMSE."""
+
+    __slots__ = ("zeta", "born_at")
+
+    def __init__(self, window_len: int, born_at: int = 0):
+        super().__init__(window_len)
+        self.zeta = 1.0
+        self.born_at = born_at
+
+    phi = property(SquaredErrorWindow.rmse)
 
 
 class ExpertNetwork:
@@ -262,16 +277,7 @@ class ExpertNetwork:
         """True when one breadth-first sweep reaches every node."""
         if len(self.nodes) <= 1:
             return True
-        start = next(iter(self.nodes))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in self.adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return len(seen) == len(self.nodes)
+        return len(self._bfs_distances(next(iter(self.nodes)))) == len(self.nodes)
 
     def centrality(self, metric: str) -> dict[int, float]:
         """Per-node centrality under the chosen metric.
@@ -327,17 +333,9 @@ class ExpertNetwork:
         remaining = set(self.nodes)
         comps: list[list[int]] = []
         while remaining:
-            start = min(remaining)
-            seen = {start}
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for u in self.adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        queue.append(u)
+            seen = self._bfs_distances(min(remaining))
             comps.append(sorted(seen))
-            remaining -= seen
+            remaining -= seen.keys()
         return comps
 
     def _bfs_distances(self, source: int) -> dict[int, int]:
@@ -396,41 +394,24 @@ class ExpertNetwork:
         scale = 1.0 / ((n - 1) * (n - 2))
         return {v: accum[v] * scale for v in ids}
 
-    def _eigenvector(self, ids: list[int]) -> dict[int, float]:
-        n = len(ids)
+    def _adjacency(self, ids: list[int]) -> np.ndarray:
         pos = {v: i for i, v in enumerate(ids)}
-        a = np.zeros((n, n))
+        a = np.zeros((len(ids), len(ids)))
         for v in ids:
-            for u in self.adj[v]:
-                a[pos[v], pos[u]] = 1.0
-        vec = np.full(n, 1.0 / math.sqrt(n))
-        for _ in range(1000):
-            # iterate on A + I: identical principal eigenvector, but the
-            # shift keeps the iteration from oscillating on bipartite
-            # topologies (stars, paths) where A alone never settles
-            nxt = a @ vec + vec
-            nxt /= np.linalg.norm(nxt)
-            if float(np.max(np.abs(nxt - vec))) < 1e-10:
-                vec = nxt
-                break
-            vec = nxt
-        vec = np.abs(vec)
-        return {v: float(vec[pos[v]]) for v in ids}
+            a[pos[v], [pos[u] for u in self.adj[v]]] = 1.0
+        return a
+
+    def _eigenvector(self, ids: list[int]) -> dict[int, float]:
+        # the Perron vector of a connected graph is simple, so the
+        # eigenvector of the largest eigenvalue is it up to sign
+        vec = np.abs(np.linalg.eigh(self._adjacency(ids))[1][:, -1])
+        return dict(zip(ids, vec.tolist()))
 
     def _pagerank(self, ids: list[int], damping: float = 0.85) -> dict[int, float]:
+        # r = (1-d)/n + d A D^-1 r; a connected graph with n >= 2 has no
+        # dangling node, so every column of A has a nonzero degree
+        a = self._adjacency(ids)
         n = len(ids)
-        pos = {v: i for i, v in enumerate(ids)}
-        neighbors = [np.fromiter((pos[u] for u in sorted(self.adj[v])), dtype=int) for v in ids]
-        degrees = np.array([len(self.adj[v]) for v in ids], dtype=float)
-        ranks = np.full(n, 1.0 / n)
-        base = (1.0 - damping) / n
-        for _ in range(1000):
-            nxt = np.full(n, base)
-            share = damping * ranks / degrees
-            for i, nbrs in enumerate(neighbors):
-                nxt[nbrs] += share[i]
-            if float(np.abs(nxt - ranks).sum()) < 1e-10:
-                ranks = nxt
-                break
-            ranks = nxt
-        return {v: float(ranks[pos[v]]) for v in ids}
+        ranks = np.linalg.solve(np.eye(n) - damping * a / a.sum(axis=0),
+                                np.full(n, (1.0 - damping) / n))
+        return dict(zip(ids, ranks.tolist()))

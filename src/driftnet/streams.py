@@ -260,16 +260,15 @@ def parse_regression_csv(source, target_column) -> list[Instance]:
     if not numbered:
         return []
 
-    def all_numeric(cells: list[str]) -> bool:
-        for cell in cells:
-            try:
-                float(cell)
-            except ValueError:
-                return False
+    def numeric(cell: str) -> bool:
+        try:
+            float(cell)
+        except ValueError:
+            return False
         return True
 
     header: list[str] | None = None
-    if not all_numeric(numbered[0][1]):
+    if not all(map(numeric, numbered[0][1])):
         header = [h.strip() for h in numbered[0][1]]
         numbered = numbered[1:]
 
@@ -302,16 +301,8 @@ def parse_regression_csv(source, target_column) -> list[Instance]:
         try:
             values = [float(cell) for cell in row]
         except ValueError:
-            bad = next(cell for cell in row if not _is_float(cell))
+            bad = next(cell for cell in row if not numeric(cell))
             raise StreamFormatError(f"line {lineno}: non-numeric cell {bad!r}") from None
         y = values.pop(target_idx)
         instances.append(Instance(x=np.array(values, dtype=float), y=y, index=len(instances)))
     return instances
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True

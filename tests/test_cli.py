@@ -1,9 +1,11 @@
 """Command-line behavior: subcommands, config files, exit codes."""
 
+from dataclasses import fields
+
 import pytest
 
 from driftnet.cli import _UsageError, config_from_mapping, main, parse_config_file
-from driftnet.evaluation import parse_result_csv
+from driftnet.evaluation import ExperimentConfig, parse_result_csv
 from driftnet.streams import parse_regression_csv
 
 
@@ -216,3 +218,57 @@ def test_config_mapping_value_types():
 def test_config_mapping_unknown_preset():
     with pytest.raises(_UsageError):
         config_from_mapping({"preset": "rhpr-9"})
+
+
+# every accepted config key, each with a non-default value, and the field
+# it must land in
+EVERY_KEY = {
+    "algorithm": ("sfnr_period", "algorithm", "sfnr_period"),
+    "length": ("1234", "length", 1234),
+    "dim": ("5", "dim", 5),
+    "drift_times": ("10,20", "drift_times", (10, 20)),
+    "drift_widths": ("1,3", "drift_widths", (1, 3)),
+    "data": ("quotes.csv", "data_path", "quotes.csv"),
+    "format": ("yahoo", "data_format", "yahoo"),
+    "target": ("3", "target", 3),
+    "learner": ("ema", "learner", "ema"),
+    "learning_rate": ("0.25", "learning_rate", 0.25),
+    "ema_window": ("7", "ema_window", 7),
+    "metric": ("pagerank", "metric", "pagerank"),
+    "kmax": ("4", "k_max", 4),
+    "ma": ("3", "m_a", 3),
+    "period": ("50", "period", 50),
+    "threshold": ("0.2", "threshold", 0.2),
+    "delta": ("0.3", "delta", 0.3),
+    "buffer_size": ("40", "buffer_size", 40),
+    "check_interval": ("8", "adwin_check_interval", 8),
+    "capacity": ("900", "adwin_capacity", 900),
+    "error_scale": ("2.5", "error_scale", 2.5),
+    "beta": ("0.25", "beta", 0.25),
+    "gamma": ("0.2", "gamma", 0.2),
+    "tau": ("0.1", "tau", 0.1),
+    "max_experts": ("6", "max_experts", 6),
+    "seeds": ("3,4", "seeds", (3, 4)),
+    "report_every": ("10", "report_every", 10),
+    "window_size": ("20", "window_size", 20),
+    "out": ("r.csv", "out", "r.csv"),
+    "drift_log": ("d.csv", "drift_log_out", "d.csv"),
+    "timing": ("false", "record_timing", False),
+}
+
+
+def test_config_mapping_accepts_every_key():
+    config = config_from_mapping({key: text for key, (text, _, _) in EVERY_KEY.items()})
+    default = ExperimentConfig()
+    assert len(EVERY_KEY) == 31
+    assert sorted(field for _, field, _ in EVERY_KEY.values()) == sorted(
+        f.name for f in fields(ExperimentConfig))
+    for key, (_, field, expected) in EVERY_KEY.items():
+        assert expected != getattr(default, field), key
+        assert getattr(config, field) == expected, key
+
+
+@pytest.mark.parametrize("field_name", ["k_max", "data_path", "record_timing"])
+def test_config_mapping_rejects_aliased_field_names(field_name):
+    with pytest.raises(_UsageError, match="unknown config key"):
+        config_from_mapping({field_name: "1"})

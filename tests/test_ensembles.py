@@ -90,6 +90,18 @@ def test_error_scale_zero_scale_normalizes_to_zero():
     assert scale.normalize(1.0) == 0.0
 
 
+def test_error_scale_warmup_waits_for_a_nonzero_error():
+    scale = ErrorScale(warmup=3)
+    for _ in range(5):
+        scale.observe(0.0)
+    assert scale.scale == 0.0
+    scale.observe(-2.0)  # first nonzero error ends the warm-up
+    assert scale.scale == 2.0
+    scale.observe(7.0)
+    assert scale.scale == 2.0
+    assert scale.normalize(1.0) == 0.5
+
+
 def test_error_scale_validation():
     with pytest.raises(ValueError):
         ErrorScale(fixed=0.0)
@@ -223,6 +235,19 @@ def test_adwin_mode_stationary_stream_never_evolves():
         ens.process(inst)
     assert ens.size == 1
     assert ens.drift_log == []
+
+
+def test_adwin_mode_detects_after_an_all_zero_warmup():
+    # every warm-up error is 0; the running-max scale must not freeze at
+    # 0, which would feed the detector only zeros for the rest of the run
+    rng = make_rng(12)
+    ens = ScaleFreeRegressor(SgdLinearRegressor(), SfnrConfig(mode="adwin"), seed=6)
+    for i in range(5000):
+        y = 0.0 if i < 600 else float(rng.choice([-5.0, 5.0]))
+        ens.process(Instance(x=rng.random(3), y=y, index=i))
+    assert ens.scale.scale > 0.0
+    assert len(ens.drift_log) >= 1
+    assert ens.drift_log[0].index >= 600
 
 
 def linear_drift_stream(rng, n, t_drift, dim=3):

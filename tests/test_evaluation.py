@@ -143,6 +143,40 @@ def test_test_then_train_order(monkeypatch, tmp_path):
         assert rows[-1].windowed_rmse >= 0.999, algorithm
 
 
+@pytest.mark.parametrize("algorithm", evaluation.ALGORITHMS)
+def test_every_algorithm_builds_a_model_with_the_run_protocol(algorithm):
+    config = _tiny_config(algorithm=algorithm, length=50)
+    model = evaluation._build_algorithm(config, 1)
+    for instance in evaluation._build_instances(config, 1):
+        assert math.isfinite(model.process(instance))
+    assert model.size >= 1
+    assert model.drift_indices() == sorted(model.drift_indices())
+
+
+def test_bare_learner_process_forecasts_before_training():
+    config = _tiny_config(length=20)
+    model = evaluation._build_algorithm(config, 1)
+    twin = model.clone_fresh()
+    for instance in evaluation._build_instances(config, 1):
+        expected = twin.predict(instance.x)
+        twin.update(instance.x, instance.y)
+        assert model.process(instance) == expected
+        assert model.predict(instance.x) == twin.predict(instance.x)
+    assert model.size == 1
+    assert model.drift_indices() == []
+
+
+def test_addexp_drift_indices_copy_the_addition_log():
+    config = _tiny_config(algorithm="addexp")
+    model = evaluation._build_algorithm(config, 1)
+    for instance in evaluation._build_instances(config, 1):
+        model.process(instance)
+    indices = model.drift_indices()
+    assert indices and indices == model.addition_log
+    indices.append(-1)
+    assert model.addition_log[-1] != -1
+
+
 class _NanRunner:
     size = 1
 
