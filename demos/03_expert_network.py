@@ -12,7 +12,7 @@ from driftnet.network import CENTRALITY_METRICS, ExpertNetwork
 from driftnet.prng import make_rng
 
 rng = make_rng(31)
-net = ExpertNetwork(k_max=64, m_a=2)
+net = ExpertNetwork(m_a=2)
 
 # Seed the graph, then grow it with degree attachment so early nodes
 # snowball into hubs.

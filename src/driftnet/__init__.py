@@ -34,7 +34,6 @@ from .network import (
     ExpertNetwork,
     attach_probabilities,
     degree_attach_probabilities,
-    node_rmse,
     weighted_sample_without_replacement,
 )
 from .prng import derive_seed, make_rng
@@ -85,7 +84,6 @@ __all__ = [
     "hyperplane_target",
     "make_hyperplane_concept",
     "make_rng",
-    "node_rmse",
     "parse_result_csv",
     "parse_regression_csv",
     "parse_yahoo_csv",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .adwin import Adwin
 from .learners import OnlineRegressor
-from .network import CENTRALITY_METRICS, ExpertNetwork
+from .network import ExpertNetwork
 from .prng import make_rng
 from .streams import Instance
 
@@ -95,7 +95,8 @@ class SfnrConfig:
 
     ``mode`` picks the evolution trigger; the other mode's parameters
     are simply ignored. ``error_scale`` of None selects the frozen
-    running-max normalizer.
+    running-max normalizer. ``metric``, ``m_a``, ``delta`` and
+    ``error_scale`` are checked by the components built from them.
     """
 
     metric: str = "eigenvector"
@@ -106,27 +107,19 @@ class SfnrConfig:
     threshold: float = 0.08
     delta: float = 0.1
     buffer_size: int = 500
-    error_window_len: int = 1000
     error_scale: float | None = None
-    scale_warmup: int = 500
     adwin_capacity: int = 5000
     adwin_check_interval: int = 32
 
     def validate(self) -> None:
-        if self.metric not in CENTRALITY_METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
         if self.mode not in ("period", "adwin"):
             raise ValueError(f"mode must be 'period' or 'adwin', got {self.mode!r}")
-        if self.k_max < 1 or self.m_a < 1 or self.buffer_size < 1:
-            raise ValueError("k_max, m_a, buffer_size must be positive")
+        if self.k_max < 1 or self.buffer_size < 1:
+            raise ValueError("k_max and buffer_size must be positive")
         if self.mode == "period" and self.period < 1:
             raise ValueError("period must be positive")
         if self.mode == "period" and self.threshold < 0:
             raise ValueError("threshold must be non-negative")
-        if self.mode == "adwin" and not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.error_scale is not None and self.error_scale <= 0:
-            raise ValueError("error_scale must be positive when fixed")
 
 
 class ScaleFreeRegressor:
@@ -139,17 +132,13 @@ class ScaleFreeRegressor:
         self.prototype = prototype
         self.rng = make_rng(seed)
         self.snapshot_dir = snapshot_dir
-        self.network = ExpertNetwork(
-            k_max=self.config.k_max,
-            m_a=self.config.m_a,
-            error_window_len=self.config.error_window_len,
-        )
+        self.network = ExpertNetwork(m_a=self.config.m_a)
         self.learners: dict[int, OnlineRegressor] = {}
         self._next_id = 0
         self.buffer: deque[Instance] = deque(maxlen=self.config.buffer_size)
         self.drift_log: list[DriftEvent] = []
         self.instances_seen = 0
-        self.scale = ErrorScale(self.config.error_scale, self.config.scale_warmup)
+        self.scale = ErrorScale(self.config.error_scale)
         self.detector: Adwin | None = None
         self._period_sq_sum = 0.0
         self._period_count = 0
@@ -166,7 +155,7 @@ class ScaleFreeRegressor:
         return len(self.network)
 
     def _spawn_seed_expert(self) -> None:
-        self.network.add_node(self._next_id, self.rng, born_at=0)
+        self.network.add_node(self._next_id, self.rng)
         self.learners[self._next_id] = self.prototype.clone_fresh()
         self._next_id += 1
         self._refresh_zetas()
@@ -257,7 +246,7 @@ class ScaleFreeRegressor:
             fresh.update(inst.x, inst.y)
         new_id = self._next_id
         self._next_id += 1
-        self.network.add_node(new_id, self.rng, born_at=at_index)
+        self.network.add_node(new_id, self.rng)
         self.learners[new_id] = fresh
         self._refresh_zetas()
         self.drift_log.append(event)
@@ -278,8 +267,7 @@ class AddExpRegressor:
     """
 
     def __init__(self, prototype: OnlineRegressor, beta: float = 0.5, gamma: float = 0.1,
-                 tau: float = 0.05, max_experts: int = 10,
-                 error_scale: float | None = None, scale_warmup: int = 500):
+                 tau: float = 0.05, max_experts: int = 10, error_scale: float | None = None):
         if not 0.0 < beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         if gamma <= 0 or tau <= 0:
@@ -291,11 +279,10 @@ class AddExpRegressor:
         self.gamma = gamma
         self.tau = tau
         self.max_experts = max_experts
-        self.scale = ErrorScale(error_scale, scale_warmup)
+        self.scale = ErrorScale(error_scale)
         self.experts: list[OnlineRegressor] = [prototype.clone_fresh()]
         self.weights: list[float] = [1.0]
         self.addition_log: list[int] = []
-        self.instances_seen = 0
 
     @property
     def size(self) -> int:
@@ -329,7 +316,6 @@ class AddExpRegressor:
             self.addition_log.append(instance.index)
         for expert in self.experts:
             expert.update(x, y)
-        self.instances_seen += 1
         return prediction
 
     def _guard_weights(self) -> None:

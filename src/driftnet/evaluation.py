@@ -22,6 +22,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 from .ensembles import AddExpRegressor, ScaleFreeRegressor, SfnrConfig
 from .learners import EmaForecaster, OnlineRegressor, RunningMeanRegressor, SgdLinearRegressor
@@ -35,7 +36,6 @@ from .streams import (
     parse_yahoo_csv,
 )
 
-RESULT_HEADER = "algorithm,seed,instance_index,windowed_rmse,network_size,cumulative_drifts,elapsed_ns"
 DRIFT_LOG_HEADER = "algorithm,seed,instance_index"
 
 ALGORITHMS = ("sfnr_adwin", "sfnr_period", "addexp", "single_learner", "ema")
@@ -68,6 +68,12 @@ class ResultRow:
     network_size: int
     cumulative_drifts: int
     elapsed_ns: int
+
+
+# results-CSV columns, in field order, each with the type that parses it;
+# str() of every field value round-trips through that type
+_RESULT_TYPES = get_type_hints(ResultRow)
+RESULT_HEADER = ",".join(_RESULT_TYPES)
 
 
 @dataclass(frozen=True)
@@ -283,9 +289,8 @@ def emit_csv(rows, path) -> None:
     ``path`` is a file path or an open text stream.
     """
     ordered = sorted(rows, key=lambda r: (r.seed, r.instance_index, r.algorithm))
-    _write_lines(path, RESULT_HEADER, (
-        f"{r.algorithm},{r.seed},{r.instance_index},{r.windowed_rmse!r},"
-        f"{r.network_size},{r.cumulative_drifts},{r.elapsed_ns}" for r in ordered), "results")
+    lines = (",".join(str(getattr(r, name)) for name in _RESULT_TYPES) for r in ordered)
+    _write_lines(path, RESULT_HEADER, lines, "results")
 
 
 def parse_result_csv(path) -> list[ResultRow]:
@@ -297,15 +302,10 @@ def parse_result_csv(path) -> list[ResultRow]:
         if header is None or ",".join(header) != RESULT_HEADER:
             raise ValueError(f"{path}: unexpected results header {header!r}")
         for rec in reader:
-            rows.append(ResultRow(
-                algorithm=rec[0],
-                seed=int(rec[1]),
-                instance_index=int(rec[2]),
-                windowed_rmse=float(rec[3]),
-                network_size=int(rec[4]),
-                cumulative_drifts=int(rec[5]),
-                elapsed_ns=int(rec[6]),
-            ))
+            if len(rec) != len(_RESULT_TYPES):
+                raise ValueError(f"{path}: line {reader.line_num}: expected "
+                                 f"{len(_RESULT_TYPES)} fields, got {len(rec)}")
+            rows.append(ResultRow(*(parse(v) for parse, v in zip(_RESULT_TYPES.values(), rec))))
     return rows
 
 
@@ -369,6 +369,12 @@ def _hyperplane_preset(name: str, desc: str, full_times: tuple[int, ...],
     return Preset(name, desc, desk=desk, full=full)
 
 
+def _dataset_preset(name: str, desc: str, **stream) -> Preset:
+    full = ExperimentConfig(algorithm="sfnr_adwin", window_size=100_000, report_every=100,
+                            seeds=(1,), **stream)
+    return Preset(name, desc, desk=replace(full, window_size=10_000), full=full)
+
+
 PRESETS: dict[str, Preset] = {
     p.name: p for p in (
         _hyperplane_preset("rhpr-1", "rotating hyperplane, one abrupt drift",
@@ -379,34 +385,12 @@ PRESETS: dict[str, Preset] = {
                            (333_333, 750_000), (1, 1)),
         _hyperplane_preset("rhpr-4", "rotating hyperplane, two gradual drifts",
                            (333_333, 750_000), (1000, 1000)),
-        Preset(
-            "wine",
-            "red wine quality (generic numeric CSV, 'quality' target)",
-            desk=ExperimentConfig(
-                algorithm="sfnr_adwin", data_path="data/winequality-red.csv",
-                data_format="csv", target="quality", learner="linear",
-                window_size=10_000, report_every=100, seeds=(1,),
-            ),
-            full=ExperimentConfig(
-                algorithm="sfnr_adwin", data_path="data/winequality-red.csv",
-                data_format="csv", target="quality", learner="linear",
-                window_size=100_000, report_every=100, seeds=(1,),
-            ),
-        ),
-        Preset(
-            "stock",
-            "Yahoo-format daily quotes, EMA experts forecasting Close",
-            desk=ExperimentConfig(
-                algorithm="sfnr_adwin", data_path="data/stock.csv",
-                data_format="yahoo", learner="ema", ema_window=5,
-                window_size=10_000, report_every=100, seeds=(1,),
-            ),
-            full=ExperimentConfig(
-                algorithm="sfnr_adwin", data_path="data/stock.csv",
-                data_format="yahoo", learner="ema", ema_window=5,
-                window_size=100_000, report_every=100, seeds=(1,),
-            ),
-        ),
+        _dataset_preset("wine", "red wine quality (generic numeric CSV, 'quality' target)",
+                        data_path="data/winequality-red.csv", data_format="csv",
+                        target="quality", learner="linear"),
+        _dataset_preset("stock", "Yahoo-format daily quotes, EMA experts forecasting Close",
+                        data_path="data/stock.csv", data_format="yahoo",
+                        learner="ema", ema_window=5),
     )
 }
 

@@ -86,21 +86,23 @@ class SgdLinearRegressor(OnlineRegressor):
     """Linear model trained by per-instance stochastic gradient descent.
 
     Features are standardized with running mean/variance statistics
-    (variance floored at 1e-8) before the dot product, so wildly scaled
-    inputs such as trade volumes cannot blow up the step size. Each
-    update refreshes the standardization statistics first, then takes
-    one gradient step on the squared loss. The gradient norm is capped
-    (``grad_clip``) so a pathological early step cannot seed weight
+    (variance floored at ``_VAR_FLOOR``) before the dot product, so
+    wildly scaled inputs such as trade volumes cannot blow up the step
+    size. Each update refreshes the standardization statistics first,
+    then takes one gradient step on the squared loss: with
+    g = 2 (prediction - y), the gradient is g times the standardized
+    input for the weights and g for the bias. Its norm is capped at
+    ``_GRAD_CLIP`` so a pathological early step cannot seed weight
     overflow.
     """
 
     _VAR_FLOOR = 1e-8
+    _GRAD_CLIP = 100.0
 
-    def __init__(self, learning_rate: float = 0.01, grad_clip: float = 100.0):
+    def __init__(self, learning_rate: float = 0.01):
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         self.learning_rate = float(learning_rate)
-        self.grad_clip = float(grad_clip)
         self.n_updates = 0
         self.weights: np.ndarray | None = None
         self.bias = 0.0
@@ -130,20 +132,6 @@ class SgdLinearRegressor(OnlineRegressor):
         xs = self._standardized(x)
         return float(self.weights @ xs) + self.bias
 
-    def gradient(self, x, y: float) -> tuple[np.ndarray, float]:
-        """Squared-loss gradient (d/dweights, d/dbias) at the current state.
-
-        Introspection only: no statistics are updated and no step is
-        taken. The weight gradient is 2 (prediction - y) x_std.
-        """
-        if self.n_updates == 0:
-            raise ValueError("gradient undefined before the first update")
-        x = np.asarray(x, dtype=float)
-        self._check_dim(x)
-        xs = self._standardized(x)
-        g = 2.0 * (float(self.weights @ xs) + self.bias - float(y))
-        return g * xs.copy(), g
-
     def update(self, x, y: float) -> None:
         x = np.asarray(x, dtype=float)
         y = float(y)
@@ -170,14 +158,14 @@ class SgdLinearRegressor(OnlineRegressor):
         xs = self._standardized(x)
         g = 2.0 * (float(self.weights @ xs) + self.bias - y)
         gnorm = abs(g) * math.sqrt(float(xs @ xs) + 1.0)
-        if gnorm > self.grad_clip:
-            g *= self.grad_clip / gnorm
+        if gnorm > self._GRAD_CLIP:
+            g *= self._GRAD_CLIP / gnorm
         step = self.learning_rate * g
         self.weights -= step * xs
         self.bias -= step
 
     def clone_fresh(self) -> "SgdLinearRegressor":
-        return SgdLinearRegressor(self.learning_rate, self.grad_clip)
+        return SgdLinearRegressor(self.learning_rate)
 
 
 class RunningMeanRegressor(OnlineRegressor):

@@ -26,17 +26,7 @@ from collections import deque
 import numpy as np
 
 CENTRALITY_METRICS = ("degree", "closeness", "betweenness", "eigenvector", "pagerank")
-
-
-def node_rmse(errors) -> float:
-    """Root mean squared error over a node's recorded absolute errors.
-
-    Defined as 0 for an empty window (a fresh node has no record yet).
-    """
-    errors = list(errors)
-    if not errors:
-        return 0.0
-    return math.sqrt(math.fsum(e * e for e in errors) / len(errors))
+_PAGERANK_DAMPING = 0.85
 
 
 def attach_probabilities(phis) -> np.ndarray:
@@ -146,12 +136,11 @@ class SquaredErrorWindow:
 class NodeStats(SquaredErrorWindow):
     """Error bookkeeping for one expert node: ``phi`` is its windowed RMSE."""
 
-    __slots__ = ("zeta", "born_at")
+    __slots__ = ("zeta",)
 
-    def __init__(self, window_len: int, born_at: int = 0):
+    def __init__(self, window_len: int = 1000):
         super().__init__(window_len)
         self.zeta = 1.0
-        self.born_at = born_at
 
     phi = property(SquaredErrorWindow.rmse)
 
@@ -159,35 +148,31 @@ class NodeStats(SquaredErrorWindow):
 class ExpertNetwork:
     """Undirected, always-connected graph of expert nodes.
 
+    The graph does not cap its size: the ensemble keeps it at ``k_max``
+    by removing the worst node before it adds one. Each node's error
+    window has the ``NodeStats`` default length.
+
     Parameters
     ----------
-    k_max : int
-        Target maximum node count (enforced by the ensemble's
-        remove-then-add cycle; the graph itself only tracks it).
     m_a : int
         Edges a new node brings, clamped to the current size.
-    error_window_len : int
-        Length of each node's error window.
     """
 
-    def __init__(self, k_max: int = 10, m_a: int = 2, error_window_len: int = 1000):
-        if k_max < 1 or m_a < 1 or error_window_len < 1:
-            raise ValueError("k_max, m_a and error_window_len must be positive")
-        self.k_max = k_max
+    def __init__(self, m_a: int = 2):
+        if m_a < 1:
+            raise ValueError("m_a must be positive")
         self.m_a = m_a
-        self.error_window_len = error_window_len
         self.nodes: dict[int, NodeStats] = {}
         self.adj: dict[int, set[int]] = {}
 
     @classmethod
-    def from_edges(cls, node_ids, edges, k_max: int = 10, m_a: int = 2,
-                   error_window_len: int = 1000) -> "ExpertNetwork":
+    def from_edges(cls, node_ids, edges, m_a: int = 2) -> "ExpertNetwork":
         """Build a network with a fixed topology (e.g. a reloaded snapshot)."""
-        net = cls(k_max=k_max, m_a=m_a, error_window_len=error_window_len)
+        net = cls(m_a=m_a)
         for v in node_ids:
             if v in net.nodes:
                 raise ValueError(f"duplicate node {v}")
-            net.nodes[v] = NodeStats(error_window_len)
+            net.nodes[v] = NodeStats()
             net.adj[v] = set()
         for u, v in edges:
             if u == v or u not in net.nodes or v not in net.nodes:
@@ -208,8 +193,7 @@ class ExpertNetwork:
     def edges(self) -> list[tuple[int, int]]:
         return sorted((min(u, v), max(u, v)) for u in self.adj for v in self.adj[u] if u < v)
 
-    def add_node(self, node_id: int, rng: np.random.Generator, born_at: int = 0,
-                 attach: str = "error") -> None:
+    def add_node(self, node_id: int, rng: np.random.Generator, attach: str = "error") -> None:
         """Add a node, wiring it to min(m_a, existing) sampled targets.
 
         ``attach`` selects the sampling weights: "error" uses the
@@ -222,7 +206,7 @@ class ExpertNetwork:
         if attach not in ("error", "degree"):
             raise ValueError(f"unknown attachment mode {attach!r}")
         existing = sorted(self.nodes)
-        self.nodes[node_id] = NodeStats(self.error_window_len, born_at=born_at)
+        self.nodes[node_id] = NodeStats()
         self.adj[node_id] = set()
         if existing:
             if attach == "error":
@@ -407,11 +391,11 @@ class ExpertNetwork:
         vec = np.abs(np.linalg.eigh(self._adjacency(ids))[1][:, -1])
         return dict(zip(ids, vec.tolist()))
 
-    def _pagerank(self, ids: list[int], damping: float = 0.85) -> dict[int, float]:
+    def _pagerank(self, ids: list[int]) -> dict[int, float]:
         # r = (1-d)/n + d A D^-1 r; a connected graph with n >= 2 has no
         # dangling node, so every column of A has a nonzero degree
         a = self._adjacency(ids)
         n = len(ids)
-        ranks = np.linalg.solve(np.eye(n) - damping * a / a.sum(axis=0),
-                                np.full(n, (1.0 - damping) / n))
+        ranks = np.linalg.solve(np.eye(n) - _PAGERANK_DAMPING * a / a.sum(axis=0),
+                                np.full(n, (1.0 - _PAGERANK_DAMPING) / n))
         return dict(zip(ids, ranks.tolist()))

@@ -296,8 +296,6 @@ def parse_regression_csv(source, target_column) -> list[Instance]:
     for lineno, row in numbered:
         if len(row) != n_cols:
             raise StreamFormatError(f"line {lineno}: expected {n_cols} fields, got {len(row)}")
-        if not (0 <= target_idx < len(row)):
-            raise StreamFormatError(f"line {lineno}: target index {target_idx} out of range")
         try:
             values = [float(cell) for cell in row]
         except ValueError:

@@ -266,7 +266,7 @@ def test_a04_attachment_sampling_frequencies():
 
 def test_a05_connectivity_under_churn():
     rng = make_rng(555)
-    net = ExpertNetwork(k_max=10, m_a=2)
+    net = ExpertNetwork(m_a=2)
     net.add_node(0, rng)
     next_id = 1
     mutations = 0

@@ -5,6 +5,7 @@ from dataclasses import fields
 import pytest
 
 from driftnet.cli import _UsageError, config_from_mapping, main, parse_config_file
+from driftnet.ensembles import SfnrConfig
 from driftnet.evaluation import ExperimentConfig, parse_result_csv
 from driftnet.streams import parse_regression_csv
 
@@ -266,6 +267,14 @@ def test_config_mapping_accepts_every_key():
     for key, (_, field, expected) in EVERY_KEY.items():
         assert expected != getattr(default, field), key
         assert getattr(config, field) == expected, key
+
+
+def test_every_sfnr_setting_is_reachable_from_a_config_file():
+    # mode comes from the algorithm name; every other SfnrConfig field is
+    # copied from the same-named ExperimentConfig field
+    experiment = {f.name for f in fields(ExperimentConfig)}
+    unreachable = [f.name for f in fields(SfnrConfig) if f.name not in experiment]
+    assert unreachable == ["mode"]
 
 
 @pytest.mark.parametrize("field_name", ["k_max", "data_path", "record_timing"])

@@ -261,6 +261,17 @@ def test_parse_rejects_foreign_header(tmp_path):
         parse_result_csv(path)
 
 
+@pytest.mark.parametrize("row", [
+    "sfnr_adwin,1,500,0.25,1,0",  # a field short
+    "sfnr_adwin,1,500,0.25,1,0,0,7",  # a field over
+])
+def test_parse_rejects_a_row_of_the_wrong_width(tmp_path, row):
+    path = tmp_path / "ragged.csv"
+    path.write_text(evaluation.RESULT_HEADER + "\nsfnr_adwin,1,250,0.5,1,0,0\n" + row + "\n")
+    with pytest.raises(ValueError, match=r"ragged\.csv: line 3: expected 7 fields"):
+        parse_result_csv(path)
+
+
 def test_rerun_is_byte_identical(tmp_path):
     config = _tiny_config(algorithm="sfnr_period", period=50, threshold=0.0,
                           length=400, seeds=(1, 2))

@@ -13,7 +13,6 @@ from driftnet.network import (
     NodeStats,
     attach_probabilities,
     degree_attach_probabilities,
-    node_rmse,
     weighted_sample_without_replacement,
 )
 from driftnet.prng import make_rng
@@ -182,12 +181,6 @@ def test_weighted_sampling_distinct_and_exhaustive():
         assert sorted(picks) == [0, 1, 2]
 
 
-def test_node_rmse():
-    assert node_rmse([]) == 0.0
-    assert node_rmse([0.0, -2.0]) == pytest.approx(math.sqrt(2.0))
-    assert node_rmse([3.0, 4.0]) == pytest.approx(math.sqrt(12.5))
-
-
 def test_node_stats_phi_matches_recomputation():
     rng = make_rng(21)
     stats = NodeStats(window_len=100)
@@ -268,7 +261,7 @@ def test_worst_node_highest_error_lowest_id_tie():
 def test_connectivity_under_random_churn():
     # smaller cousin of the acceptance-scale churn run
     rng = make_rng(77)
-    net = ExpertNetwork(k_max=10, m_a=2)
+    net = ExpertNetwork(m_a=2)
     net.add_node(0, rng)
     next_id = 1
     for step in range(1500):
@@ -276,7 +269,7 @@ def test_connectivity_under_random_churn():
             ids = net.node_ids()
             net.remove_node(ids[int(rng.integers(len(ids)))], rng)
         else:
-            net.add_node(next_id, rng, born_at=step)
+            net.add_node(next_id, rng)
             next_id += 1
         assert len(net) >= 1
         assert net.is_connected()
