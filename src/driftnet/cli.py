@@ -216,26 +216,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.preset is not None:
-        config = _preset_config(args.preset, args.full)
-        if config.data_path is not None:
-            raise _UsageError(f"preset {args.preset!r} reads a dataset file; "
-                              "gen only writes synthetic streams")
-    else:
-        config = ExperimentConfig()
-    updates = {}
-    if args.length is not None:
-        updates["length"] = args.length
-    if args.dim is not None:
-        updates["dim"] = args.dim
-    if args.drift_times is not None:
-        updates["drift_times"] = _to_int_tuple(args.drift_times)
-    if args.drift_widths is not None:
-        updates["drift_widths"] = _to_int_tuple(args.drift_widths)
-    if updates:
-        config = replace(config, **updates)
-    if len(config.drift_times) != len(config.drift_widths):
-        raise _UsageError("drift_times and drift_widths lengths differ")
+    flags = {"preset": args.preset, "length": args.length, "dim": args.dim,
+             "drift_times": args.drift_times, "drift_widths": args.drift_widths}
+    config = config_from_mapping({key: str(value) for key, value in flags.items()
+                                  if value is not None}, full_scale=args.full)
+    if config.data_path is not None:
+        raise _UsageError(f"preset {args.preset!r} reads a dataset file; "
+                          "gen only writes synthetic streams")
 
     header = ",".join(f"x{i}" for i in range(config.dim)) + ",y"
     lines = (",".join(repr(float(v)) for v in instance.x) + f",{instance.y!r}"

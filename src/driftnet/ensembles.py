@@ -148,21 +148,11 @@ class ScaleFreeRegressor:
                 capacity=self.config.adwin_capacity,
                 check_interval=self.config.adwin_check_interval,
             )
-        self._spawn_seed_expert()
+        self._add_expert([])
 
     @property
     def size(self) -> int:
         return len(self.network)
-
-    def _spawn_seed_expert(self) -> None:
-        self.network.add_node(self._next_id, self.rng)
-        self.learners[self._next_id] = self.prototype.clone_fresh()
-        self._next_id += 1
-        self._refresh_zetas()
-
-    def _refresh_zetas(self) -> None:
-        for node_id, zeta in self.network.centrality(self.config.metric).items():
-            self.network.nodes[node_id].zeta = zeta
 
     def _predict_all(self, x) -> tuple[float, dict[int, float]]:
         ids = self.network.node_ids()
@@ -238,20 +228,24 @@ class ScaleFreeRegressor:
             victim = self.network.worst_node()
             self.network.remove_node(victim, self.rng)
             del self.learners[victim]
-        fresh = self.prototype.clone_fresh()
         if not training_window:
             logger.warning("evolution at %d with an empty training window; "
                            "adding an untrained expert", at_index)
-        for inst in training_window:
-            fresh.update(inst.x, inst.y)
-        new_id = self._next_id
-        self._next_id += 1
-        self.network.add_node(new_id, self.rng)
-        self.learners[new_id] = fresh
-        self._refresh_zetas()
+        self._add_expert(training_window)
         self.drift_log.append(event)
         if self.snapshot_dir is not None:
             self.network.dump_edge_list(f"{self.snapshot_dir}/network_{at_index}.edges")
+
+    def _add_expert(self, training_window: list[Instance]) -> None:
+        """Warm-start a fresh expert on the window, attach it, and reweigh the vote."""
+        fresh = self.prototype.clone_fresh()
+        for inst in training_window:
+            fresh.update(inst.x, inst.y)
+        self.network.add_node(self._next_id, self.rng)
+        self.learners[self._next_id] = fresh
+        self._next_id += 1
+        for node_id, zeta in self.network.centrality(self.config.metric).items():
+            self.network.nodes[node_id].zeta = zeta
 
 
 class AddExpRegressor:
@@ -291,15 +285,16 @@ class AddExpRegressor:
     def drift_indices(self) -> list[int]:
         return list(self.addition_log)
 
+    def _vote(self, forecasts) -> float:
+        return math.fsum(w * h for w, h in zip(self.weights, forecasts)) / math.fsum(self.weights)
+
     def predict(self, x) -> float:
-        total = math.fsum(self.weights)
-        return math.fsum(w * e.predict(x) for w, e in zip(self.weights, self.experts)) / total
+        return self._vote(e.predict(x) for e in self.experts)
 
     def process(self, instance: Instance) -> float:
         x, y = instance.x, instance.y
         forecasts = [e.predict(x) for e in self.experts]
-        weight_total = math.fsum(self.weights)
-        prediction = math.fsum(w * h for w, h in zip(self.weights, forecasts)) / weight_total
+        prediction = self._vote(forecasts)
         self.scale.observe(abs(prediction - y))
         for i, h in enumerate(forecasts):
             loss = min(self.scale.normalize(h - y), 1.0)

@@ -49,7 +49,6 @@ class PrequentialWindow(SquaredErrorWindow):
         if window_size < 1:
             raise ValueError("window_size must be positive")
         super().__init__(window_size)
-        self.window_size = window_size
 
     def update(self, prediction: float, truth: float) -> float:
         """Push one squared error; return the current windowed RMSE."""
@@ -101,15 +100,15 @@ class ExperimentConfig:
     learner: str = "linear"
     learning_rate: float = 0.01
     ema_window: int = 5
-    metric: str = "eigenvector"
-    k_max: int = 10
-    m_a: int = 2
-    period: int = 1000
-    threshold: float = 0.08
-    delta: float = 0.1
-    buffer_size: int = 500
-    adwin_check_interval: int = 32
-    adwin_capacity: int = 5000
+    metric: str = SfnrConfig.metric
+    k_max: int = SfnrConfig.k_max
+    m_a: int = SfnrConfig.m_a
+    period: int = SfnrConfig.period
+    threshold: float = SfnrConfig.threshold
+    delta: float = SfnrConfig.delta
+    buffer_size: int = SfnrConfig.buffer_size
+    adwin_check_interval: int = SfnrConfig.adwin_check_interval
+    adwin_capacity: int = SfnrConfig.adwin_capacity
     error_scale: float | None = None
     beta: float = 0.5
     gamma: float = 0.1
@@ -305,7 +304,11 @@ def parse_result_csv(path) -> list[ResultRow]:
             if len(rec) != len(_RESULT_TYPES):
                 raise ValueError(f"{path}: line {reader.line_num}: expected "
                                  f"{len(_RESULT_TYPES)} fields, got {len(rec)}")
-            rows.append(ResultRow(*(parse(v) for parse, v in zip(_RESULT_TYPES.values(), rec))))
+            try:
+                values = [parse(v) for parse, v in zip(_RESULT_TYPES.values(), rec)]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+            rows.append(ResultRow(*values))
     return rows
 
 

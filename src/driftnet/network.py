@@ -29,6 +29,25 @@ CENTRALITY_METRICS = ("degree", "closeness", "betweenness", "eigenvector", "page
 _PAGERANK_DAMPING = 0.85
 
 
+def _attachment_law(values, what: str, by_deviation: bool) -> np.ndarray:
+    """Validate non-negative per-node ``values`` and normalise them, uniform at a zero sum.
+
+    ``by_deviation`` first maps the values to the error law's raw weights.
+    """
+    weights = np.asarray(list(values), dtype=float)
+    if weights.size == 0:
+        raise ValueError("need at least one node")
+    if (weights < 0).any():
+        raise ValueError(f"{what} must be non-negative")
+    total = float(weights.sum())
+    if by_deviation and total != 0.0:
+        weights = np.abs(weights[:, None] - weights[None, :]).sum(axis=0) / total
+        total = float(weights.sum())
+    if total == 0.0:
+        return np.full(weights.size, 1.0 / weights.size)
+    return weights / total
+
+
 def attach_probabilities(phis) -> np.ndarray:
     """Attachment distribution from node errors.
 
@@ -37,20 +56,7 @@ def attach_probabilities(phis) -> np.ndarray:
     vector is normalized to sum to one. All-equal errors (including the
     all-zero fresh start) fall back to the uniform distribution.
     """
-    phis = np.asarray(list(phis), dtype=float)
-    if phis.size == 0:
-        raise ValueError("need at least one node")
-    if (phis < 0).any():
-        raise ValueError("node errors must be non-negative")
-    n = phis.size
-    total = float(phis.sum())
-    if total == 0.0:
-        return np.full(n, 1.0 / n)
-    raw = np.abs(phis[:, None] - phis[None, :]).sum(axis=0) / total
-    raw_sum = float(raw.sum())
-    if raw_sum == 0.0:
-        return np.full(n, 1.0 / n)
-    return raw / raw_sum
+    return _attachment_law(phis, "node errors", by_deviation=True)
 
 
 def degree_attach_probabilities(degrees) -> np.ndarray:
@@ -58,15 +64,7 @@ def degree_attach_probabilities(degrees) -> np.ndarray:
 
     All-zero degrees (an edgeless seed) give the uniform distribution.
     """
-    degrees = np.asarray(list(degrees), dtype=float)
-    if degrees.size == 0:
-        raise ValueError("need at least one node")
-    if (degrees < 0).any():
-        raise ValueError("degrees must be non-negative")
-    total = float(degrees.sum())
-    if total == 0.0:
-        return np.full(degrees.size, 1.0 / degrees.size)
-    return degrees / total
+    return _attachment_law(degrees, "degrees", by_deviation=False)
 
 
 def weighted_sample_without_replacement(probs, k: int, rng: np.random.Generator) -> list[int]:
@@ -170,10 +168,7 @@ class ExpertNetwork:
         """Build a network with a fixed topology (e.g. a reloaded snapshot)."""
         net = cls(m_a=m_a)
         for v in node_ids:
-            if v in net.nodes:
-                raise ValueError(f"duplicate node {v}")
-            net.nodes[v] = NodeStats()
-            net.adj[v] = set()
+            net._new_node(v)
         for u, v in edges:
             if u == v or u not in net.nodes or v not in net.nodes:
                 raise ValueError(f"bad edge ({u}, {v})")
@@ -201,13 +196,10 @@ class ExpertNetwork:
         degree-proportional attachment. The very first node is the seed
         and gets no edges.
         """
-        if node_id in self.nodes:
-            raise ValueError(f"node {node_id} already present")
         if attach not in ("error", "degree"):
             raise ValueError(f"unknown attachment mode {attach!r}")
         existing = sorted(self.nodes)
-        self.nodes[node_id] = NodeStats()
-        self.adj[node_id] = set()
+        self._new_node(node_id)
         if existing:
             if attach == "error":
                 probs = attach_probabilities([self.nodes[i].phi for i in existing])
@@ -237,10 +229,9 @@ class ExpertNetwork:
         if len(comps) > 1:
             comps.sort(key=lambda c: (-len(c), c[0]))
             largest = comps[0]
-            largest_phis = [self.nodes[i].phi for i in largest]
+            probs = attach_probabilities([self.nodes[i].phi for i in largest])
             for comp in comps[1:]:
                 orphan = comp[int(rng.integers(len(comp)))]
-                probs = attach_probabilities(largest_phis)
                 pick = weighted_sample_without_replacement(probs, 1, rng)[0]
                 self._add_edge(orphan, largest[pick])
         self._assert_connected("remove_node")
@@ -261,7 +252,7 @@ class ExpertNetwork:
         """True when one breadth-first sweep reaches every node."""
         if len(self.nodes) <= 1:
             return True
-        return len(self._bfs_distances(next(iter(self.nodes)))) == len(self.nodes)
+        return len(self._shortest_paths(next(iter(self.nodes)))[0]) == len(self.nodes)
 
     def centrality(self, metric: str) -> dict[int, float]:
         """Per-node centrality under the chosen metric.
@@ -303,6 +294,12 @@ class ExpertNetwork:
 
     # -- internals ----------------------------------------------------
 
+    def _new_node(self, node_id: int) -> None:
+        if node_id in self.nodes:
+            raise ValueError(f"node {node_id} already present")
+        self.nodes[node_id] = NodeStats()
+        self.adj[node_id] = set()
+
     def _add_edge(self, u: int, v: int) -> None:
         if u == v:
             raise ValueError("self-loops are not allowed")
@@ -317,27 +314,32 @@ class ExpertNetwork:
         remaining = set(self.nodes)
         comps: list[list[int]] = []
         while remaining:
-            seen = self._bfs_distances(min(remaining))
+            seen = self._shortest_paths(min(remaining))[0]
             comps.append(sorted(seen))
             remaining -= seen.keys()
         return comps
 
-    def _bfs_distances(self, source: int) -> dict[int, int]:
+    def _shortest_paths(self, source: int) -> tuple[dict[int, int], dict[int, float]]:
+        """BFS distances and shortest-path counts from ``source``, both in visit order."""
         dist = {source: 0}
+        sigma = {source: 1.0}
         queue = deque([source])
         while queue:
             v = queue.popleft()
             for u in self.adj[v]:
                 if u not in dist:
                     dist[u] = dist[v] + 1
+                    sigma[u] = 0.0
                     queue.append(u)
-        return dist
+                if dist[u] == dist[v] + 1:
+                    sigma[u] += sigma[v]
+        return dist, sigma
 
     def _closeness(self, ids: list[int]) -> dict[int, float]:
         n = len(ids)
         out = {}
         for v in ids:
-            total = sum(self._bfs_distances(v).values())
+            total = sum(self._shortest_paths(v)[0].values())
             out[v] = (n - 1) / total
         return out
 
@@ -347,30 +349,14 @@ class ExpertNetwork:
             return {v: 0.0 for v in ids}
         accum = dict.fromkeys(ids, 0.0)
         for s in ids:
-            # Brandes: BFS counting shortest paths, then dependency
-            # accumulation in reverse finish order.
-            stack: list[int] = []
-            preds: dict[int, list[int]] = {v: [] for v in ids}
-            sigma = dict.fromkeys(ids, 0.0)
-            sigma[s] = 1.0
-            dist = dict.fromkeys(ids, -1)
-            dist[s] = 0
-            queue = deque([s])
-            while queue:
-                v = queue.popleft()
-                stack.append(v)
-                for w in self.adj[v]:
-                    if dist[w] < 0:
-                        dist[w] = dist[v] + 1
-                        queue.append(w)
-                    if dist[w] == dist[v] + 1:
-                        sigma[w] += sigma[v]
-                        preds[w].append(v)
-            delta = dict.fromkeys(ids, 0.0)
-            while stack:
-                w = stack.pop()
-                for v in preds[w]:
-                    delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            # Brandes: accumulate dependencies in reverse visit order; the
+            # predecessors of w are its neighbours one step closer to s
+            dist, sigma = self._shortest_paths(s)
+            delta = dict.fromkeys(dist, 0.0)
+            for w in reversed(dist):
+                for v in self.adj[w]:
+                    if dist[v] == dist[w] - 1:
+                        delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
                 if w != s:
                     accum[w] += delta[w]
         # accumulation visits each unordered pair from both endpoints;

@@ -247,7 +247,6 @@ def parse_regression_csv(source, target_column) -> list[Instance]:
     columns become features in file order.
     """
     lines = [ln for ln in _as_lines(source)]
-    rows: list[list[str]] = []
     first_line = next((ln for ln in lines if ln.strip()), None)
     if first_line is None:
         return []

@@ -394,6 +394,7 @@ def _stream_oracles(config, seed):
     return shift, eps, z, floor
 
 
+@pytest.mark.slow
 def test_a07_drift_recovery_on_rotating_hyperplane(adwin_and_single_runs):
     sfnr_rows, sfnr_drifts, t_sfnr = adwin_and_single_runs["sfnr_adwin"]
     single_rows, _, t_single = adwin_and_single_runs["single_learner"]
@@ -471,6 +472,7 @@ def test_a07_drift_recovery_on_rotating_hyperplane(adwin_and_single_runs):
         "means the stream now shows its drift in the error; see the README.")
 
 
+@pytest.mark.slow
 def test_a08_period_and_detector_modes_reach_similar_error(
         adwin_and_single_runs, period_runs):
     sfnr_rows, _, _ = adwin_and_single_runs["sfnr_adwin"]

@@ -146,6 +146,12 @@ def test_gen_mismatched_drift_args_rejected(capsys):
     assert main(["gen", "--length", "10", "--drift-times", "5"]) == 1
 
 
+@pytest.mark.parametrize("flags", [["--dim", "1"], ["--length", "-3"]], ids=["dim-1", "length--3"])
+def test_gen_bad_stream_shape_is_usage_error(capsys, flags):
+    assert main(["gen", *flags]) == 1
+    assert "synthetic streams need" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # list-presets subcommand.
 # ---------------------------------------------------------------------------
@@ -275,6 +281,12 @@ def test_every_sfnr_setting_is_reachable_from_a_config_file():
     experiment = {f.name for f in fields(ExperimentConfig)}
     unreachable = [f.name for f in fields(SfnrConfig) if f.name not in experiment]
     assert unreachable == ["mode"]
+    # error_scale of None means "resolve per stream" in an experiment but
+    # "running max" in SfnrConfig; every other shared default agrees
+    shared = [f.name for f in fields(SfnrConfig) if f.name not in ("mode", "error_scale")]
+    assert len(shared) == 9
+    for name in shared:
+        assert getattr(ExperimentConfig(), name) == getattr(SfnrConfig(), name), name
 
 
 @pytest.mark.parametrize("field_name", ["k_max", "data_path", "record_timing"])

@@ -261,14 +261,17 @@ def test_parse_rejects_foreign_header(tmp_path):
         parse_result_csv(path)
 
 
-@pytest.mark.parametrize("row", [
-    "sfnr_adwin,1,500,0.25,1,0",  # a field short
-    "sfnr_adwin,1,500,0.25,1,0,0,7",  # a field over
+@pytest.mark.parametrize("row, message", [
+    pytest.param(row, message, id=row) for row, message in (
+        ("sfnr_adwin,1,500,0.25,1,0", "expected 7 fields"),  # a field short
+        ("sfnr_adwin,1,500,0.25,1,0,0,7", "expected 7 fields"),  # a field over
+        ("sfnr_adwin,x,500,0.25,1,0,0", r"invalid literal for int\(\) with base 10: 'x'"),
+    )
 ])
-def test_parse_rejects_a_row_of_the_wrong_width(tmp_path, row):
+def test_parse_rejects_a_malformed_row(tmp_path, row, message):
     path = tmp_path / "ragged.csv"
     path.write_text(evaluation.RESULT_HEADER + "\nsfnr_adwin,1,250,0.5,1,0,0\n" + row + "\n")
-    with pytest.raises(ValueError, match=r"ragged\.csv: line 3: expected 7 fields"):
+    with pytest.raises(ValueError, match=r"ragged\.csv: line 3: " + message):
         parse_result_csv(path)
 
 
