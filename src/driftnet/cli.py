@@ -82,13 +82,6 @@ def _to_int_tuple(value: str) -> tuple[int, ...]:
     return tuple(int(part.strip(), 10) for part in value.split(","))
 
 
-def _to_seeds(value: str) -> tuple[int, ...]:
-    seeds = _to_int_tuple(value)
-    if not seeds:
-        raise ValueError("seeds must not be empty")
-    return seeds
-
-
 def _to_target(value: str):
     stripped = value.strip()
     if stripped.lstrip("-").isdigit():
@@ -113,7 +106,7 @@ _KEY_ALIASES = {
     "drift_log_out": "drift_log",
     "record_timing": "timing",
 }
-_CONVERTERS = {"seeds": _to_seeds, "target": _to_target, "error_scale": _to_error_scale}
+_CONVERTERS = {"target": _to_target, "error_scale": _to_error_scale}
 _TYPE_CONVERTERS = {
     "str": str,
     "str | None": str,
@@ -200,6 +193,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be positive, got {args.workers}")
     mapping = parse_config_file(args.config)
     overrides = {"seeds": args.seed, "length": args.length, "window_size": args.window_size,
                  "metric": args.metric, "delta": args.delta, "kmax": args.kmax, "out": args.out}

@@ -156,8 +156,6 @@ class ScaleFreeRegressor:
 
     def _predict_all(self, x) -> tuple[float, dict[int, float]]:
         ids = self.network.node_ids()
-        if not ids:
-            raise ValueError("ensemble has no experts")
         preds: dict[int, float] = {}
         weighted = 0.0
         weight_total = 0.0
@@ -186,7 +184,6 @@ class ScaleFreeRegressor:
         forecast, preds = self._predict_all(x)
         for v, h in preds.items():
             self.network.nodes[v].record_error(h - y)
-        for v in self.network.node_ids():
             self.learners[v].update(x, y)
         self.buffer.append(instance)
         fired = self._trigger(forecast - y, instance.index)

@@ -30,6 +30,7 @@ from .network import SquaredErrorWindow
 from .prng import derive_seed
 from .streams import (
     DriftStreamSpec,
+    check_stream_shape,
     generate_drift_stream,
     make_hyperplane_concept,
     parse_regression_csv,
@@ -40,6 +41,7 @@ DRIFT_LOG_HEADER = "algorithm,seed,instance_index"
 
 ALGORITHMS = ("sfnr_adwin", "sfnr_period", "addexp", "single_learner", "ema")
 LEARNERS = ("linear", "ema", "mean")
+FORMATS = ("csv", "yahoo")
 
 
 class PrequentialWindow(SquaredErrorWindow):
@@ -126,15 +128,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.learner not in LEARNERS:
             raise ValueError(f"unknown learner {self.learner!r}; choose from {LEARNERS}")
+        if self.data_format not in FORMATS:
+            raise ValueError(f"unknown format {self.data_format!r}; choose from {FORMATS}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
         if self.report_every < 1 or self.window_size < 1:
             raise ValueError("report_every and window_size must be positive")
         if self.data_path is None:
-            if len(self.drift_times) != len(self.drift_widths):
-                raise ValueError("drift_times and drift_widths lengths differ")
-            if self.length < 0 or self.dim < 2:
-                raise ValueError("synthetic streams need length >= 0 and dim >= 2")
+            check_stream_shape(self.length, self.dim, self.drift_times, self.drift_widths)
         elif self.data_format == "csv" and self.target is None:
             raise ValueError("file streams in csv format need a target column")
 
@@ -246,7 +247,8 @@ def run_experiment_detailed(config: ExperimentConfig, max_workers: int = 1
         raise FileNotFoundError(f"dataset file not found: {config.data_path}")
     seeds = sorted(set(config.seeds))
     if max_workers > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        # fork starts every worker up front, so never more than there are seeds
+        with ProcessPoolExecutor(max_workers=min(max_workers, len(seeds))) as pool:
             futures = {seed: pool.submit(_run_single_seed, config, seed) for seed in seeds}
             per_seed = {seed: futures[seed].result() for seed in seeds}
     else:

@@ -8,6 +8,11 @@ interface, so heavier regressors can be plugged in later without
 touching ensemble code. A bare learner also runs on its own through
 the same ``process`` / ``size`` / ``drift_indices`` shape as the
 ensembles.
+
+Inputs are checked once, where the stream enters, not by each expert:
+``x`` must be a finite 1-D float64 array and ``y`` a finite float, as
+every ``streams.Instance`` holds. Only SGD guards the dimension, since
+numpy would silently broadcast a length-1 ``x``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ class OnlineRegressor(ABC):
 
     @abstractmethod
     def update(self, x, y: float) -> None:
-        """Absorb one (x, y) observation."""
+        """Absorb one (x, y) observation; x must be finite 1-D float64, y a finite float."""
 
     @abstractmethod
     def clone_fresh(self) -> "OnlineRegressor":
@@ -70,9 +75,6 @@ class EmaForecaster(OnlineRegressor):
         return 0.0 if self.current is None else self.current
 
     def update(self, x, y: float) -> None:
-        y = float(y)
-        if not math.isfinite(y):
-            raise ValueError(f"target must be finite, got {y}")
         if self.current is None:
             self.current = y
         else:
@@ -118,25 +120,15 @@ class SgdLinearRegressor(OnlineRegressor):
         np.multiply(out, self._inv_std, out=out)
         return out
 
-    def _check_dim(self, x: np.ndarray) -> None:
-        if x.shape != self._mean.shape:
-            raise ValueError(
-                f"feature dimension changed: expected {self._mean.shape[0]}, got {x.shape}"
-            )
-
     def predict(self, x) -> float:
         if self.n_updates == 0:
             return 0.0
-        x = np.asarray(x, dtype=float)
-        self._check_dim(x)
+        if x.shape != self._mean.shape:
+            raise ValueError(f"feature dimension changed: expected {self._mean.shape[0]}, got {x.shape}")
         xs = self._standardized(x)
         return float(self.weights @ xs) + self.bias
 
     def update(self, x, y: float) -> None:
-        x = np.asarray(x, dtype=float)
-        y = float(y)
-        if not math.isfinite(y) or not np.isfinite(x).all():
-            raise ValueError("non-finite training input")
         if self.n_updates == 0:
             d = x.shape[0]
             self.weights = np.zeros(d)
@@ -144,8 +136,8 @@ class SgdLinearRegressor(OnlineRegressor):
             self._m2 = np.zeros(d)
             self._inv_std = np.ones(d)
             self._scratch = np.empty(d)
-        else:
-            self._check_dim(x)
+        elif x.shape != self._mean.shape:
+            raise ValueError(f"feature dimension changed: expected {self._mean.shape[0]}, got {x.shape}")
         self.n_updates += 1
         n = self.n_updates
         delta = x - self._mean
@@ -188,9 +180,6 @@ class RunningMeanRegressor(OnlineRegressor):
         return (self._sum + self._compensation) / self._count
 
     def update(self, x, y: float) -> None:
-        y = float(y)
-        if not math.isfinite(y):
-            raise ValueError("non-finite training target")
         total = self._sum + y
         if abs(self._sum) >= abs(y):
             self._compensation += (self._sum - total) + y

@@ -36,7 +36,11 @@ class StreamFormatError(ValueError):
 
 @dataclass(eq=False)
 class Instance:
-    """One stream element: feature vector, target, and stream position."""
+    """One stream element: feature vector, target, and stream position.
+
+    Experts trust it unchecked: ``x`` must be a finite 1-D float64 array
+    and ``y`` a finite float, as the parsers and the generator ensure.
+    """
 
     x: np.ndarray
     y: float
@@ -88,21 +92,26 @@ class DriftStreamSpec:
                 "need exactly one drift time per concept transition "
                 f"({len(self.concepts) - 1}), got {len(self.drift_times)}"
             )
-        if len(self.drift_widths) != len(self.drift_times):
-            raise ValueError("drift_times and drift_widths lengths differ")
-        if any(w < 1 for w in self.drift_widths):
-            raise ValueError("every drift width must be >= 1")
-        if list(self.drift_times) != sorted(set(self.drift_times)):
-            raise ValueError("drift_times must be strictly increasing")
         dims = {c.d for c in self.concepts}
         if len(dims) != 1:
             raise ValueError(f"concepts disagree on dimension: {sorted(dims)}")
-        if self.length < 0:
-            raise ValueError("length must be non-negative")
+        check_stream_shape(self.length, self.dim, self.drift_times, self.drift_widths)
 
     @property
     def dim(self) -> int:
         return self.concepts[0].d
+
+
+def check_stream_shape(length: int, dim: int, drift_times, drift_widths) -> None:
+    """Raise ValueError unless these describe a synthetic stream that can be generated."""
+    if length < 0 or dim < 2:
+        raise ValueError("synthetic streams need length >= 0 and dim >= 2")
+    if len(drift_times) != len(drift_widths):
+        raise ValueError("drift_times and drift_widths lengths differ")
+    if any(w < 1 for w in drift_widths):
+        raise ValueError("synthetic streams need every drift width >= 1")
+    if list(drift_times) != sorted(set(drift_times)):
+        raise ValueError("synthetic streams need strictly increasing drift_times")
 
 
 def make_hyperplane_concept(seed: int, d: int) -> HyperplaneConcept:
@@ -167,7 +176,8 @@ def generate_drift_stream(spec: DriftStreamSpec) -> Iterator[Instance]:
     decides (with probability f(t)) whether that transition's incoming
     concept takes over; the last winning concept produces y. The number
     of generator draws per instance is fixed, so output is bitwise
-    reproducible from ``spec.seed`` alone.
+    reproducible from ``spec.seed`` alone. Instances are finite by
+    construction (x in the unit cube, y within the half diagonal).
     """
     rng = make_rng(spec.seed)
     d = spec.dim
@@ -190,6 +200,24 @@ def _as_lines(source) -> Iterable[str]:
     return source
 
 
+def _row_values(cells: list[str], names: Sequence, lineno: int) -> list[float]:
+    """The cells as floats; the first one that is not a finite number names its line and column."""
+    try:
+        values = list(map(float, cells))
+        if math.isfinite(sum(values)):  # any nan or inf cell; a finite overflow is kept below
+            return values
+    except ValueError:
+        pass
+    for cell, name in zip(cells, names):
+        try:
+            problem = None if math.isfinite(float(cell)) else "non-finite training input"
+        except ValueError:
+            problem = "non-numeric cell"
+        if problem is not None:
+            raise StreamFormatError(f"line {lineno}: {problem} {cell.strip()!r} in column {name!r}")
+    return values
+
+
 def parse_yahoo_csv(source) -> list[Instance]:
     """Parse a Yahoo historical-quotes CSV into instances.
 
@@ -197,7 +225,7 @@ def parse_yahoo_csv(source) -> list[Instance]:
     (an open file works). Rows are re-sorted by Date ascending, then
     each becomes an Instance with features (Open, High, Low, Volume,
     Adj Close) and target y = Close. The date itself is used only for
-    ordering.
+    ordering. A nan or infinite cell is a StreamFormatError.
     """
     reader = csv.reader(_as_lines(source))
     try:
@@ -208,6 +236,7 @@ def parse_yahoo_csv(source) -> list[Instance]:
         raise StreamFormatError(
             "line 1: expected header " + ",".join(YAHOO_HEADER) + f", got {','.join(header)!r}"
         )
+    names = YAHOO_HEADER[1:]
     parsed: list[tuple[date, list[float], float]] = []
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -218,10 +247,7 @@ def parse_yahoo_csv(source) -> list[Instance]:
             day = date.fromisoformat(row[0].strip())
         except ValueError as exc:
             raise StreamFormatError(f"line {lineno}: bad date {row[0]!r}: {exc}") from None
-        try:
-            opn, high, low, close, volume, adj = (float(v) for v in row[1:])
-        except ValueError:
-            raise StreamFormatError(f"line {lineno}: non-numeric field in {row[1:]!r}") from None
+        opn, high, low, close, volume, adj = _row_values(row[1:], names, lineno)
         parsed.append((day, [opn, high, low, volume, adj], close))
     parsed.sort(key=lambda item: item[0])
     return [
@@ -244,13 +270,11 @@ def parse_regression_csv(source, target_column) -> list[Instance]:
     ``target_column`` is either a column index (int) or a header name
     (str; requires a header row). A header is assumed present when any
     cell of the first row fails to parse as a number. All remaining
-    columns become features in file order.
+    columns become features in file order. A nan or infinite cell is a
+    StreamFormatError.
     """
     lines = [ln for ln in _as_lines(source)]
-    first_line = next((ln for ln in lines if ln.strip()), None)
-    if first_line is None:
-        return []
-    delim = _detect_delimiter(first_line)
+    delim = _detect_delimiter(next((ln for ln in lines if ln.strip()), ""))
     numbered = [
         (lineno, row)
         for lineno, row in enumerate(csv.reader(lines, delimiter=delim), start=1)
@@ -259,15 +283,10 @@ def parse_regression_csv(source, target_column) -> list[Instance]:
     if not numbered:
         return []
 
-    def numeric(cell: str) -> bool:
-        try:
-            float(cell)
-        except ValueError:
-            return False
-        return True
-
     header: list[str] | None = None
-    if not all(map(numeric, numbered[0][1])):
+    try:
+        list(map(float, numbered[0][1]))
+    except ValueError:
         header = [h.strip() for h in numbered[0][1]]
         numbered = numbered[1:]
 
@@ -291,15 +310,12 @@ def parse_regression_csv(source, target_column) -> list[Instance]:
     if n_cols and not 0 <= target_idx < n_cols:
         raise StreamFormatError(f"target column index {target_idx} out of range for {n_cols} columns")
 
+    names = header or range(n_cols)
     instances: list[Instance] = []
     for lineno, row in numbered:
         if len(row) != n_cols:
             raise StreamFormatError(f"line {lineno}: expected {n_cols} fields, got {len(row)}")
-        try:
-            values = [float(cell) for cell in row]
-        except ValueError:
-            bad = next(cell for cell in row if not numeric(cell))
-            raise StreamFormatError(f"line {lineno}: non-numeric cell {bad!r}") from None
+        values = _row_values(row, names, lineno)
         y = values.pop(target_idx)
         instances.append(Instance(x=np.array(values, dtype=float), y=y, index=len(instances)))
     return instances

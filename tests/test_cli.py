@@ -1,9 +1,11 @@
 """Command-line behavior: subcommands, config files, exit codes."""
 
+from concurrent.futures import Future
 from dataclasses import fields
 
 import pytest
 
+import driftnet.evaluation as evaluation
 from driftnet.cli import _UsageError, config_from_mapping, main, parse_config_file
 from driftnet.ensembles import SfnrConfig
 from driftnet.evaluation import ExperimentConfig, parse_result_csv
@@ -79,6 +81,75 @@ def test_run_unknown_algorithm_is_usage_error(tmp_path, capsys):
     assert "boosting" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", ["drift_times = 50\ndrift_widths = 0\n",
+                                   "drift_times = 50,30\ndrift_widths = 1,1\n"],
+                         ids=["width-0", "times-decreasing"])
+def test_run_bad_stream_shape_is_usage_error(tmp_path, capsys, shape):
+    cfg = write_config(tmp_path, BASIC + shape)
+    assert main(["run", cfg]) == 1
+    assert "synthetic streams need" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["format = yaho\n", "format = xml\n"], ids=["yaho", "xml"])
+def test_run_unknown_format_is_usage_error(tmp_path, capsys, text):
+    cfg = write_config(tmp_path, "data = quotes.csv\n" + text)
+    assert main(["run", cfg]) == 1
+    assert "unknown format" in capsys.readouterr().err
+
+
+def test_run_non_finite_quote_names_the_line(tmp_path, capsys):
+    quotes = tmp_path / "quotes.csv"
+    quotes.write_text("Date,Open,High,Low,Close,Volume,Adj Close\n"
+                      "2014-01-02,18.0,18.5,17.5,18.2,2000,18.1\n"
+                      "2014-01-03,19.0,19.5,18.5,19.2,nan,19.1\n")
+    cfg = write_config(tmp_path, f"data = {quotes}\nformat = yahoo\nlearner = ema\n"
+                                 "timing = false\n")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "line 3: non-finite training input 'nan' in column 'Volume'" in err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and runs each task inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_run_pool_is_no_larger_than_the_seed_list(tmp_path, monkeypatch):
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    cfg = write_config(tmp_path, BASIC)
+    assert main(["run", cfg, "--out", str(serial)]) == 0
+    assert main(["run", cfg, "--out", str(pooled), "--workers", "500"]) == 0
+    assert _RecordingPool.sizes == [2]
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_run_workers_below_one_is_usage_error(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    cfg = write_config(tmp_path, BASIC)
+    assert main(["run", cfg, "--workers", workers]) == 1
+    assert "--workers must be positive" in capsys.readouterr().err
+    assert _RecordingPool.sizes == []
+
+
 def test_run_missing_dataset_is_runtime_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "data = /no/such/data.csv\ntarget = y\n")
     assert main(["run", cfg]) == 2
@@ -146,7 +217,12 @@ def test_gen_mismatched_drift_args_rejected(capsys):
     assert main(["gen", "--length", "10", "--drift-times", "5"]) == 1
 
 
-@pytest.mark.parametrize("flags", [["--dim", "1"], ["--length", "-3"]], ids=["dim-1", "length--3"])
+@pytest.mark.parametrize("flags", [
+    ["--dim", "1"],
+    ["--length", "-3"],
+    ["--length", "10", "--drift-times", "5", "--drift-widths", "0"],
+    ["--length", "10", "--drift-times", "5,3", "--drift-widths", "1,1"],
+], ids=["dim-1", "length--3", "width-0", "times-decreasing"])
 def test_gen_bad_stream_shape_is_usage_error(capsys, flags):
     assert main(["gen", *flags]) == 1
     assert "synthetic streams need" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from driftnet.streams import (
+    YAHOO_HEADER,
     DriftStreamSpec,
     StreamFormatError,
     generate_drift_stream,
@@ -287,3 +288,44 @@ def test_csv_ragged_row_reports_line():
 
 def test_csv_empty_input():
     assert parse_regression_csv(io.StringIO(""), 0) == []
+
+
+# ---------------------------------------------------------------------------
+# Non-finite cells are rejected where the stream enters.
+# ---------------------------------------------------------------------------
+
+NON_FINITE = ["nan", "inf", "-inf"]
+
+
+@pytest.mark.parametrize("cell", NON_FINITE)
+@pytest.mark.parametrize("column", ["Volume", "Close"], ids=["feature", "target"])
+def test_yahoo_non_finite_cell_reports_line_and_column(cell, column):
+    fields = dict(zip(YAHOO_HEADER, "2014-01-07,21.0,21.5,20.5,21.2,1200,21.1".split(",")))
+    fields[column] = cell
+    bad = YAHOO_TEXT + ",".join(fields.values()) + "\n"
+    with pytest.raises(StreamFormatError) as exc:
+        parse_yahoo_csv(io.StringIO(bad))
+    message = str(exc.value)
+    assert message.startswith("line 5: non-finite training input")
+    assert repr(cell) in message and repr(column) in message
+
+
+@pytest.mark.parametrize("cell", NON_FINITE)
+@pytest.mark.parametrize("column,name", [(0, "a"), (2, "y")], ids=["feature", "target"])
+@pytest.mark.parametrize("header", [True, False], ids=["header", "headerless"])
+def test_csv_non_finite_cell_reports_line_and_column(cell, column, name, header):
+    row = ["1.0", "2.0", "3.0"]
+    row[column] = cell
+    text = ("a,b,y\n" if header else "") + "4.0,5.0,6.0\n" + ",".join(row) + "\n"
+    with pytest.raises(StreamFormatError) as exc:
+        parse_regression_csv(io.StringIO(text), 2)
+    message = str(exc.value)
+    assert message.startswith(f"line {3 if header else 2}: non-finite training input")
+    assert repr(cell) in message
+    assert f"in column {repr(name) if header else column}" in message
+
+
+def test_finite_cells_whose_sum_overflows_are_kept():
+    instances = parse_regression_csv(io.StringIO("1e308,1e308,-1e308\n"), 2)
+    assert instances[0].x.tolist() == [1e308, 1e308]
+    assert instances[0].y == -1e308
