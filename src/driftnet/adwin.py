@@ -20,12 +20,25 @@ can overshoot transiently.
 This is the plain stored-window variant: every value is kept (up to
 ``capacity``), and the split scan is run every ``check_interval``
 additions. Capacity evictions are bookkeeping, not change detections.
+The window lives in a preallocated numpy buffer of twice the capacity;
+evicting and cutting only advance its head, and the window is copied
+back to the front once the tail reaches the end.
+
+A scan finds where that dropping stops without re-testing the window
+after each drop. It builds one prefix sum of the window. From the
+current start, one vectorized pass over every split finds the failing
+split w with the largest gap relative to its threshold; if no split
+fails, the scan stops. Every later start at which w still fails would
+be dropped as well, so a second pass tests w alone against those
+starts, and the scan jumps to the first one that w passes (or to w
+itself) and repeats. The cut lands on the first start with no failing
+split, exactly where dropping one value at a time would stop, and
+costs O(width) per pass instead of O(width) per dropped value.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -73,20 +86,25 @@ class Adwin:
         self.n_clamped = 0
         self.n_added = 0
         self.last_cut: tuple[int, int] | None = None  # (width_before, width_after)
-        self._values: deque[float] = deque()
+        self._buf = np.empty(2 * self.capacity)
+        self._head = 0
+        self._tail = 0
+        # ln(4 n / delta) for n = 1 .. _n_logged - 1, each computed once
+        self._log_terms = np.empty(self.capacity + 1)
+        self._n_logged = 1
 
     @property
     def width(self) -> int:
-        return len(self._values)
+        return self._tail - self._head
 
     def contents(self) -> list[float]:
         """Retained window, oldest value first."""
-        return list(self._values)
+        return self._buf[self._head:self._tail].tolist()
 
     def mean(self) -> float:
-        if not self._values:
+        if self._tail == self._head:
             raise ValueError("mean of an empty window")
-        return math.fsum(self._values) / len(self._values)
+        return math.fsum(self.contents()) / self.width
 
     def add(self, value: float) -> bool:
         """Append one value; return True iff a change was detected.
@@ -102,9 +120,15 @@ class Adwin:
         elif value > 1.0:
             value = 1.0
             self.n_clamped += 1
-        if len(self._values) == self.capacity:
-            self._values.popleft()
-        self._values.append(value)
+        tail = self._tail
+        if tail - self._head == self.capacity:
+            self._head += 1
+        if tail == 2 * self.capacity:
+            tail -= self._head
+            self._buf[:tail] = self._buf[self._head:]
+            self._head = 0
+        self._buf[tail] = value
+        self._tail = tail + 1
         self.n_added += 1
         if self.n_added % self.check_interval != 0:
             return False
@@ -116,25 +140,42 @@ class Adwin:
 
     def _shrink(self) -> int:
         """Drop oldest values while any split fails the mean test."""
-        width_before = len(self._values)
-        arr = np.fromiter(self._values, dtype=float, count=width_before)
-        dropped = 0
-        while arr.size >= 2:
-            n = arr.size
-            prefix = np.cumsum(arr)
-            total = prefix[-1]
-            n0 = np.arange(1, n, dtype=float)
-            n1 = n - n0
-            mean0 = prefix[:-1] / n0
-            mean1 = (total - prefix[:-1]) / n1
-            inv_2m = 0.5 * (1.0 / n0 + 1.0 / n1)
-            eps = np.sqrt(inv_2m * math.log(4.0 * n / self.delta))
-            if not (np.abs(mean0 - mean1) >= eps).any():
+        n_total = self._tail - self._head
+        if n_total >= self._n_logged:
+            for n in range(self._n_logged, n_total + 1):
+                self._log_terms[n] = math.log(4.0 * n / self.delta)
+            self._n_logged = n_total + 1
+        prefix = np.zeros(n_total + 1)
+        np.cumsum(self._buf[self._head:self._tail], out=prefix[1:])
+        j = 0  # oldest surviving value, as an offset into the window
+        while n_total - j >= 2:
+            gap, eps = self._split_test(prefix, j, np.arange(j + 1, n_total))
+            fails = gap >= eps
+            if not fails.any():
                 break
-            arr = arr[1:]
-            dropped += 1
-        if dropped:
-            for _ in range(dropped):
-                self._values.popleft()
-            self.last_cut = (width_before, len(self._values))
-        return dropped
+            # Every later start at which split w still fails would be
+            # dropped too. The most significant failing split tends to
+            # keep failing longest, so test it alone at each of them.
+            w = j + 1 + int(np.where(fails, gap / eps, 0.0).argmax())
+            gap, eps = self._split_test(prefix, np.arange(j + 1, w), w)
+            passes = np.flatnonzero(gap < eps)
+            j = j + 1 + int(passes[0]) if passes.size else w
+        if j:
+            self._head += j
+            self.last_cut = (n_total, n_total - j)
+        return j
+
+    def _split_test(self, prefix, start, split):
+        """Mean gap and ``eps_cut`` of the window from ``start`` split at ``split``.
+
+        ``start`` and ``split`` are offsets into the window (one may be
+        an array); ``prefix`` is the window's prefix sum with a leading
+        zero. Both passes of a scan use this, so a split gets the same
+        verdict at a start whichever pass tests it.
+        """
+        n_total = prefix.size - 1
+        n0 = np.subtract(split, start, dtype=float)
+        n1 = np.subtract(n_total, split, dtype=float)
+        gap = np.abs((prefix[split] - prefix[start]) / n0 - (prefix[-1] - prefix[split]) / n1)
+        eps = np.sqrt(0.5 * (1.0 / n0 + 1.0 / n1) * self._log_terms[n_total - start])
+        return gap, eps

@@ -30,6 +30,7 @@ from .network import SquaredErrorWindow
 from .prng import derive_seed
 from .streams import (
     DriftStreamSpec,
+    Instance,
     check_stream_shape,
     generate_drift_stream,
     make_hyperplane_concept,
@@ -150,12 +151,16 @@ def _resolved_error_scale(config: ExperimentConfig) -> float | None:
     return None
 
 
+def _parse_data_file(config: ExperimentConfig) -> list[Instance]:
+    with open(config.data_path, "r", encoding="utf-8") as fh:
+        if config.data_format == "yahoo":
+            return parse_yahoo_csv(fh)
+        return parse_regression_csv(fh, config.target)
+
+
 def _build_instances(config: ExperimentConfig, seed: int):
     if config.data_path is not None:
-        with open(config.data_path, "r", encoding="utf-8") as fh:
-            if config.data_format == "yahoo":
-                return parse_yahoo_csv(fh)
-            return parse_regression_csv(fh, config.target)
+        return _parse_data_file(config)
     concepts = tuple(
         make_hyperplane_concept(derive_seed(seed, 1 + j), config.dim)
         for j in range(len(config.drift_times) + 1)
@@ -198,8 +203,11 @@ def _build_algorithm(config: ExperimentConfig, seed: int):
     return prototype
 
 
-def _run_single_seed(config: ExperimentConfig, seed: int) -> tuple[list[ResultRow], list[tuple[str, int, int]]]:
-    instances = _build_instances(config, seed)
+def _run_single_seed(config: ExperimentConfig, seed: int, instances=None
+                     ) -> tuple[list[ResultRow], list[tuple[str, int, int]]]:
+    """Run one seed; ``instances``, when given, is a file stream already parsed."""
+    if instances is None:
+        instances = _build_instances(config, seed)
     model = _build_algorithm(config, seed)
     window = PrequentialWindow(config.window_size)
     rows: list[ResultRow] = []
@@ -252,7 +260,9 @@ def run_experiment_detailed(config: ExperimentConfig, max_workers: int = 1
             futures = {seed: pool.submit(_run_single_seed, config, seed) for seed in seeds}
             per_seed = {seed: futures[seed].result() for seed in seeds}
     else:
-        per_seed = {seed: _run_single_seed(config, seed) for seed in seeds}
+        # a file stream does not depend on the seed: parse it once
+        parsed = _parse_data_file(config) if config.data_path is not None else None
+        per_seed = {seed: _run_single_seed(config, seed, parsed) for seed in seeds}
     rows: list[ResultRow] = []
     drift_entries: list[tuple[str, int, int]] = []
     for seed in seeds:

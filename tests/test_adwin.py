@@ -141,3 +141,113 @@ def test_detection_count_accumulates():
             det.add(min(max(level + 0.05 * (rng.random() - 0.5), 0.0), 1.0))
     assert det.n_detections >= 3
     assert det.n_added == 2000
+
+
+class OneValueAtATime:
+    """Reference detector: the cut rule applied literally.
+
+    After every drop of the oldest value it rebuilds the window's sums
+    and re-tests every split, so it shares no scan state with the
+    detector. ``add`` returns ``(width_before, width_after)`` on a cut.
+    """
+
+    def __init__(self, delta, capacity, check_interval):
+        self.delta, self.capacity, self.check_interval = delta, capacity, check_interval
+        self.values = []
+        self.n_added = 0
+
+    def add(self, value):
+        self.values.append(min(max(value, 0.0), 1.0))
+        if len(self.values) > self.capacity:
+            del self.values[0]
+        self.n_added += 1
+        if self.n_added % self.check_interval != 0:
+            return None
+        width_before = len(self.values)
+        arr = np.array(self.values)
+        while arr.size >= 2:
+            n = arr.size
+            prefix = np.cumsum(arr)
+            total = prefix[-1]
+            n0 = np.arange(1, n, dtype=float)
+            n1 = n - n0
+            mean0 = prefix[:-1] / n0
+            mean1 = (total - prefix[:-1]) / n1
+            inv_2m = 0.5 * (1.0 / n0 + 1.0 / n1)
+            eps = np.sqrt(inv_2m * math.log(4.0 * n / self.delta))
+            if not (np.abs(mean0 - mean1) >= eps).any():
+                break
+            arr = arr[1:]
+        if arr.size == width_before:
+            return None
+        self.values = self.values[width_before - arr.size:]
+        return width_before, arr.size
+
+
+@pytest.mark.parametrize("check_interval", [1, 32])
+@pytest.mark.parametrize("capacity", [64, 2000])
+@pytest.mark.parametrize("steps", [False, True])
+def test_cut_sequence_matches_one_value_at_a_time(check_interval, capacity, steps):
+    # Levels near 0 and 1 with wide noise put clamped values in the window;
+    # 3 x capacity additions make the buffer compact mid-stream.
+    rng = make_rng(100 * capacity + 10 * check_interval + steps)
+    det = Adwin(delta=0.1, capacity=capacity, check_interval=check_interval)
+    ref = OneValueAtATime(0.1, capacity, check_interval)
+    levels = [0.05, 0.95, 0.4, 0.9] if steps else [0.92]
+    cuts, ref_cuts = [], []
+    for t in range(3 * capacity):
+        level = levels[t * len(levels) // (3 * capacity)]
+        value = level + 0.5 * (rng.random() - 0.5)
+        if det.add(value):
+            cuts.append(det.last_cut)
+        ref_cut = ref.add(value)
+        if ref_cut is not None:
+            ref_cuts.append(ref_cut)
+        assert len(cuts) == len(ref_cuts), f"addition {t}"
+    assert cuts == ref_cuts
+    assert det.contents() == ref.values
+    assert det.n_clamped > 0
+    if steps:
+        assert len(cuts) >= 2
+
+
+def test_window_survives_eviction_and_compaction():
+    det = Adwin(delta=0.1, capacity=5, check_interval=1)
+    values = [0.5 + 0.01 * i for i in range(23)]
+    for value in values:
+        det.add(value)
+    assert det.n_detections == 0
+    assert det.width == 5
+    assert det.contents() == values[-5:]
+    assert det.mean() == math.fsum(values[-5:]) / 5
+
+
+def test_capacity_one_keeps_the_latest_value():
+    det = Adwin(delta=0.1, capacity=1, check_interval=1)
+    for value in (0.0, 1.0, 0.25, 2.0, 0.75):
+        assert det.add(value) is False
+        assert det.width == 1
+    assert det.contents() == [0.75]
+    assert det.mean() == 0.75
+    assert det.n_clamped == 1
+
+
+def test_narrowest_cut_keeps_the_new_regime():
+    # A window of fewer than 7 values in [0, 1] never fails a split for
+    # any delta in (0, 1), so no cut can leave a single value; a long
+    # run of zeros followed by a few ones gives the narrowest cut the
+    # rule allows, and it must match the reference.
+    values = [0.0] * 1000 + [1.0] * 7
+    det = Adwin(delta=0.1, capacity=5000, check_interval=len(values))
+    ref = OneValueAtATime(0.1, 5000, len(values))
+    for value in values:
+        cut = det.add(value)
+        ref_cut = ref.add(value)
+    assert cut is True
+    before, after = det.last_cut
+    assert (before, after) == ref_cut
+    assert before == len(values) and 7 < after < 20
+    assert det.width == after
+    assert det.contents() == values[-after:]
+    assert all(type(v) is float for v in det.contents())
+    assert det.mean() == 7.0 / after

@@ -1,5 +1,6 @@
 """Harness tests: prequential window, runner, CSV emission, presets."""
 
+import datetime
 import math
 import statistics
 
@@ -296,6 +297,38 @@ def test_parallel_equals_serial(tmp_path):
     emit_csv(serial, a)
     emit_csv(parallel, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_serial_run_parses_a_data_file_once(monkeypatch, tmp_path):
+    path = tmp_path / "quotes.csv"
+    rng = make_rng(21)
+    day = datetime.date(2014, 1, 2)
+    price = 20.0
+    with open(path, "w") as fh:
+        fh.write("Date,Open,High,Low,Close,Volume,Adj Close\n")
+        for t in range(600):
+            price *= 1.0 + (0.002 if t < 300 else 0.1) * (rng.random() - 0.5)
+            fh.write(f"{day + datetime.timedelta(days=t)},{price!r},{price + 0.5!r},"
+                     f"{price - 0.5!r},{price!r},{1000 + t},{price!r}\n")
+    calls = []
+    parse = evaluation.parse_yahoo_csv
+    monkeypatch.setattr(evaluation, "parse_yahoo_csv",
+                        lambda fh: calls.append(1) or parse(fh))
+    outputs = []
+    for workers in (1, 3):
+        out, log = tmp_path / f"rows{workers}.csv", tmp_path / f"drifts{workers}.csv"
+        config = ExperimentConfig(
+            algorithm="sfnr_adwin", data_path=str(path), data_format="yahoo",
+            learner="ema", seeds=(1, 2, 3), report_every=100, window_size=100,
+            adwin_check_interval=1, error_scale=1.0, record_timing=False,
+            out=str(out), drift_log_out=str(log))
+        run_experiment_detailed(config, max_workers=workers)
+        if workers == 1:
+            assert len(calls) == 1
+        outputs.append((out.read_bytes(), log.read_bytes()))
+    # each parallel worker parses the file for its own seed
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count(b"\n") > 1
 
 
 def test_elapsed_is_monotone_within_a_seed():
