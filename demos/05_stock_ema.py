@@ -36,7 +36,7 @@ with tempfile.TemporaryDirectory() as tmp:
           f"first close {parsed[0].y:.2f}, last close {parsed[-1].y:.2f}")
 
     config = ExperimentConfig(
-        algorithm="ema", ema_window=5,
+        algorithm="single_learner", learner="ema", ema_window=5,
         data_path=str(csv_path), data_format="yahoo",
         report_every=50, window_size=50, seeds=(1,),
         record_timing=False)

@@ -82,7 +82,12 @@ class ErrorScale:
 
 @dataclass(frozen=True)
 class DriftEvent:
-    """One evolution trigger: where it happened and the detector cut."""
+    """One evolution of a model, as recorded in its ``drift_log``.
+
+    ``index`` is the instance that triggered it; the widths describe
+    the detector cut and are None for period triggers and AddExp
+    additions.
+    """
 
     index: int
     width_before: int | None = None
@@ -126,12 +131,11 @@ class ScaleFreeRegressor:
     """Dynamically sized, network-organized ensemble regressor."""
 
     def __init__(self, prototype: OnlineRegressor, config: SfnrConfig | None = None,
-                 seed: int = 0, snapshot_dir: str | None = None):
+                 seed: int = 0):
         self.config = config if config is not None else SfnrConfig()
         self.config.validate()
         self.prototype = prototype
         self.rng = make_rng(seed)
-        self.snapshot_dir = snapshot_dir
         self.network = ExpertNetwork(m_a=self.config.m_a)
         self.learners: dict[int, OnlineRegressor] = {}
         self._next_id = 0
@@ -175,9 +179,6 @@ class ScaleFreeRegressor:
         """Centrality-weighted ensemble forecast (no state change)."""
         return self._predict_all(x)[0]
 
-    def drift_indices(self) -> list[int]:
-        return [event.index for event in self.drift_log]
-
     def process(self, instance: Instance) -> float:
         """Test-then-train one instance; returns the pre-train forecast."""
         x, y = instance.x, instance.y
@@ -220,18 +221,15 @@ class ScaleFreeRegressor:
 
     def _evolve(self, training_window: list[Instance], event: DriftEvent) -> None:
         """Replace capacity-worst expert (if at capacity) with a fresh one."""
-        at_index = event.index
         if len(self.network) >= self.config.k_max:
             victim = self.network.worst_node()
             self.network.remove_node(victim, self.rng)
             del self.learners[victim]
         if not training_window:
             logger.warning("evolution at %d with an empty training window; "
-                           "adding an untrained expert", at_index)
+                           "adding an untrained expert", event.index)
         self._add_expert(training_window)
         self.drift_log.append(event)
-        if self.snapshot_dir is not None:
-            self.network.dump_edge_list(f"{self.snapshot_dir}/network_{at_index}.edges")
 
     def _add_expert(self, training_window: list[Instance]) -> None:
         """Warm-start a fresh expert on the window, attach it, and reweigh the vote."""
@@ -253,6 +251,7 @@ class AddExpRegressor:
     error scale), add a fresh expert carrying gamma times the current
     total weight whenever the ensemble's own normalized loss exceeds
     tau (pruning the weakest expert at capacity), then train everyone.
+    Each addition is logged in ``drift_log`` as a ``DriftEvent``.
     Weights are floored at a tiny fraction of the total so a hopeless
     expert decays to irrelevance without ever underflowing to zero.
     """
@@ -273,14 +272,11 @@ class AddExpRegressor:
         self.scale = ErrorScale(error_scale)
         self.experts: list[OnlineRegressor] = [prototype.clone_fresh()]
         self.weights: list[float] = [1.0]
-        self.addition_log: list[int] = []
+        self.drift_log: list[DriftEvent] = []
 
     @property
     def size(self) -> int:
         return len(self.experts)
-
-    def drift_indices(self) -> list[int]:
-        return list(self.addition_log)
 
     def _vote(self, forecasts) -> float:
         return math.fsum(w * h for w, h in zip(self.weights, forecasts)) / math.fsum(self.weights)
@@ -305,7 +301,7 @@ class AddExpRegressor:
                 del self.weights[weakest]
             self.experts.append(self.prototype.clone_fresh())
             self.weights.append(self.gamma * math.fsum(self.weights))
-            self.addition_log.append(instance.index)
+            self.drift_log.append(DriftEvent(instance.index))
         for expert in self.experts:
             expert.update(x, y)
         return prediction

@@ -40,7 +40,7 @@ from .streams import (
 
 DRIFT_LOG_HEADER = "algorithm,seed,instance_index"
 
-ALGORITHMS = ("sfnr_adwin", "sfnr_period", "addexp", "single_learner", "ema")
+ALGORITHMS = ("sfnr_adwin", "sfnr_period", "addexp", "single_learner")
 LEARNERS = ("linear", "ema", "mean")
 FORMATS = ("csv", "yahoo")
 
@@ -135,10 +135,14 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
         if self.report_every < 1 or self.window_size < 1:
             raise ValueError("report_every and window_size must be positive")
+        reads_csv = self.data_path is not None and self.data_format == "csv"
+        if reads_csv and self.target is None:
+            raise ValueError("file streams in csv format need a target column")
+        if not reads_csv and self.target is not None:
+            raise ValueError(f"target {self.target!r} is read only from a csv-format file, "
+                             "and this run reads none (yahoo quotes always predict Close)")
         if self.data_path is None:
             check_stream_shape(self.length, self.dim, self.drift_times, self.drift_widths)
-        elif self.data_format == "csv" and self.target is None:
-            raise ValueError("file streams in csv format need a target column")
 
 
 def _resolved_error_scale(config: ExperimentConfig) -> float | None:
@@ -184,7 +188,7 @@ def _build_prototype(config: ExperimentConfig) -> OnlineRegressor:
 
 
 def _build_algorithm(config: ExperimentConfig, seed: int):
-    """The model for one seed: anything with ``process``, ``size`` and ``drift_indices``."""
+    """The model for one seed: anything with ``process``, ``size`` and ``drift_log``."""
     prototype = _build_prototype(config)
     scale = _resolved_error_scale(config)
     if config.algorithm in ("sfnr_adwin", "sfnr_period"):
@@ -198,8 +202,6 @@ def _build_algorithm(config: ExperimentConfig, seed: int):
             prototype, beta=config.beta, gamma=config.gamma, tau=config.tau,
             max_experts=config.max_experts, error_scale=scale,
         )
-    if config.algorithm == "ema":
-        return EmaForecaster(config.ema_window)
     return prototype
 
 
@@ -222,7 +224,7 @@ def _run_single_seed(config: ExperimentConfig, seed: int, instances=None
             instance_index=count,
             windowed_rmse=window.rmse(),
             network_size=model.size,
-            cumulative_drifts=len(model.drift_indices()),
+            cumulative_drifts=len(model.drift_log),
             elapsed_ns=elapsed,
         )
 
@@ -239,7 +241,7 @@ def _run_single_seed(config: ExperimentConfig, seed: int, instances=None
             rows.append(checkpoint())
     if count % config.report_every != 0:
         rows.append(checkpoint())
-    drift_entries = [(config.algorithm, seed, idx) for idx in model.drift_indices()]
+    drift_entries = [(config.algorithm, seed, event.index) for event in model.drift_log]
     return rows, drift_entries
 
 

@@ -6,8 +6,7 @@ and ``clone_fresh()`` returns an untrained learner with the same
 configuration. The ensemble treats experts purely through this
 interface, so heavier regressors can be plugged in later without
 touching ensemble code. A bare learner also runs on its own through
-the same ``process`` / ``size`` / ``drift_indices`` shape as the
-ensembles.
+the same ``process`` / ``size`` / ``drift_log`` shape as the ensembles.
 
 Inputs are checked once, where the stream enters, not by each expert:
 ``x`` must be a finite 1-D float64 array and ``y`` a finite float, as
@@ -25,6 +24,9 @@ import numpy as np
 
 class OnlineRegressor(ABC):
     """Contract for incremental regressors."""
+
+    # evolution record shared with the ensembles: a bare learner never evolves
+    drift_log = ()
 
     @abstractmethod
     def predict(self, x) -> float:
@@ -48,10 +50,6 @@ class OnlineRegressor(ABC):
     def size(self) -> int:
         """Experts in the model: a bare learner is one."""
         return 1
-
-    def drift_indices(self) -> list[int]:
-        """Instance indices of evolution triggers: a bare learner has none."""
-        return []
 
 
 class EmaForecaster(OnlineRegressor):

@@ -165,7 +165,7 @@ class ExpertNetwork:
 
     @classmethod
     def from_edges(cls, node_ids, edges, m_a: int = 2) -> "ExpertNetwork":
-        """Build a network with a fixed topology (e.g. a reloaded snapshot)."""
+        """Build a network with a fixed topology."""
         net = cls(m_a=m_a)
         for v in node_ids:
             net._new_node(v)
@@ -277,20 +277,6 @@ class ExpertNetwork:
         if metric == "eigenvector":
             return self._eigenvector(ids)
         return self._pagerank(ids)
-
-    def dump_edge_list(self, path) -> None:
-        """Write the topology as one "u v" pair per line."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for u, v in self.edges():
-                fh.write(f"{u} {v}\n")
-
-    def dump_node_table(self, path) -> None:
-        """Write "id,phi,zeta,degree" rows for offline inspection."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("id,phi,zeta,degree\n")
-            for v in self.node_ids():
-                st = self.nodes[v]
-                fh.write(f"{v},{st.phi!r},{st.zeta!r},{len(self.adj[v])}\n")
 
     # -- internals ----------------------------------------------------
 

@@ -182,7 +182,7 @@ def generate_drift_stream(spec: DriftStreamSpec) -> Iterator[Instance]:
     rng = make_rng(spec.seed)
     d = spec.dim
     n_drifts = len(spec.drift_times)
-    bound = math.sqrt(d)
+    bound = math.sqrt(d) / 2.0  # |w.(x-c)| <= ||x-c|| <= half the cube diagonal
     for t in range(spec.length):
         x = rng.random(d)
         active = 0

@@ -76,9 +76,11 @@ def test_run_bad_value_is_usage_error(tmp_path, capsys):
 
 
 def test_run_unknown_algorithm_is_usage_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, "algorithm = boosting\n")
-    assert main(["run", cfg]) == 1
-    assert "boosting" in capsys.readouterr().err
+    # ema is no algorithm: the EMA baseline is single_learner with learner = ema
+    for name in ("boosting", "ema"):
+        cfg = write_config(tmp_path, f"algorithm = {name}\n")
+        assert main(["run", cfg]) == 1
+        assert f"unknown algorithm {name!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("shape", ["drift_times = 50\ndrift_widths = 0\n",
@@ -287,6 +289,7 @@ def test_config_mapping_value_types():
         "seeds": "3",
         "error_scale": "auto",
         "timing": "false",
+        "data": "wine.csv",
         "target": "quality",
     })
     assert config.drift_times == (10, 20)
@@ -295,7 +298,16 @@ def test_config_mapping_value_types():
     assert config.error_scale is None
     assert config.record_timing is False
     assert config.target == "quality"
-    assert config_from_mapping({"target": "-1"}).target == -1
+    assert config_from_mapping({"data": "wine.csv", "target": "-1"}).target == -1
+
+
+@pytest.mark.parametrize("mapping", [
+    {"data": "quotes.csv", "format": "yahoo", "target": "3"},
+    {"target": "3"},
+], ids=["yahoo", "synthetic"])
+def test_config_mapping_rejects_a_target_the_run_ignores(mapping):
+    with pytest.raises(_UsageError, match="target"):
+        config_from_mapping(mapping)
 
 
 def test_config_mapping_unknown_preset():
@@ -341,12 +353,17 @@ EVERY_KEY = {
 
 
 def test_config_mapping_accepts_every_key():
-    config = config_from_mapping({key: text for key, (text, _, _) in EVERY_KEY.items()})
+    # a yahoo file has no target column to name, so target lands in a
+    # csv-format config of its own
+    texts = {key: text for key, (text, _, _) in EVERY_KEY.items()}
+    yahoo = config_from_mapping({k: v for k, v in texts.items() if k != "target"})
+    csv = config_from_mapping({k: v for k, v in texts.items() if k != "format"})
     default = ExperimentConfig()
     assert len(EVERY_KEY) == 31
     assert sorted(field for _, field, _ in EVERY_KEY.values()) == sorted(
         f.name for f in fields(ExperimentConfig))
     for key, (_, field, expected) in EVERY_KEY.items():
+        config = csv if key == "target" else yahoo
         assert expected != getattr(default, field), key
         assert getattr(config, field) == expected, key
 

@@ -296,18 +296,6 @@ def test_adwin_mode_zeta_refresh_only_at_evolution():
     assert ens.network.nodes[0].zeta == 123.0
 
 
-def test_snapshots_written_at_evolution(tmp_path):
-    rng = make_rng(11)
-    cfg = SfnrConfig(mode="period", period=10, threshold=0.0, metric="degree",
-                     error_scale=1.0)
-    ens = ScaleFreeRegressor(RunningMeanRegressor(), cfg, seed=5,
-                             snapshot_dir=str(tmp_path))
-    for inst in noisy_instances(rng, 20):
-        ens.process(inst)
-    assert (tmp_path / "network_9.edges").exists()
-    assert (tmp_path / "network_19.edges").exists()
-
-
 def test_same_seed_same_run():
     cfg = SfnrConfig(mode="period", period=10, threshold=0.0, metric="pagerank",
                      error_scale=1.0)
@@ -350,7 +338,7 @@ def test_addexp_new_expert_weight_is_gamma_share():
     # the miss also triggers an addition priced at gamma * total weight
     assert model.size == 2
     assert model.weights[1] == pytest.approx(0.1 * 0.5)
-    assert model.addition_log == [0]
+    assert model.drift_log == [DriftEvent(0)]
 
 
 def test_addexp_accurate_expert_never_grows():
@@ -360,7 +348,7 @@ def test_addexp_accurate_expert_never_grows():
         model.process(inst)
     assert model.size == 1
     assert model.weights == [1.0]
-    assert model.addition_log == []
+    assert model.drift_log == []
 
 
 def test_addexp_capacity_prunes_weakest():
@@ -370,7 +358,7 @@ def test_addexp_capacity_prunes_weakest():
         model.process(inst)
     assert model.size == 3
     assert len(model.weights) == 3
-    assert len(model.addition_log) == 50
+    assert len(model.drift_log) == 50
 
 
 def test_addexp_weights_stay_positive_under_constant_misses():
@@ -397,7 +385,7 @@ def test_addexp_learns_after_drift():
                             error_scale=1.0)
     stream = linear_drift_stream(rng, 6000, 3000)
     errors = [abs(model.process(inst) - inst.y) for inst in stream]
-    assert len(model.addition_log) >= 1
+    assert len(model.drift_log) >= 1
     assert np.mean(errors[5500:]) < np.mean(errors[3000:3200])
 
 

@@ -21,6 +21,7 @@ from driftnet.evaluation import (
     run_experiment_detailed,
     summarize,
 )
+from driftnet.ensembles import DriftEvent
 from driftnet.learners import OnlineRegressor
 from driftnet.prng import make_rng
 
@@ -151,7 +152,9 @@ def test_every_algorithm_builds_a_model_with_the_run_protocol(algorithm):
     for instance in evaluation._build_instances(config, 1):
         assert math.isfinite(model.process(instance))
     assert model.size >= 1
-    assert model.drift_indices() == sorted(model.drift_indices())
+    assert all(isinstance(event, DriftEvent) for event in model.drift_log)
+    indices = [event.index for event in model.drift_log]
+    assert all(a < b for a, b in zip(indices, indices[1:]))
 
 
 def test_bare_learner_process_forecasts_before_training():
@@ -164,28 +167,29 @@ def test_bare_learner_process_forecasts_before_training():
         assert model.process(instance) == expected
         assert model.predict(instance.x) == twin.predict(instance.x)
     assert model.size == 1
-    assert model.drift_indices() == []
+    assert len(model.drift_log) == 0
 
 
-def test_addexp_drift_indices_copy_the_addition_log():
-    config = _tiny_config(algorithm="addexp")
+def test_addexp_logs_one_drift_event_per_addition():
+    config = _tiny_config(algorithm="addexp", max_experts=1000)
     model = evaluation._build_algorithm(config, 1)
     for instance in evaluation._build_instances(config, 1):
         model.process(instance)
-    indices = model.drift_indices()
-    assert indices and indices == model.addition_log
-    indices.append(-1)
-    assert model.addition_log[-1] != -1
+    assert model.drift_log
+    assert all(isinstance(event, DriftEvent) for event in model.drift_log)
+    indices = [event.index for event in model.drift_log]
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    # below capacity nothing is pruned: one expert per addition plus the first
+    assert model.size == 1 + len(model.drift_log)
 
 
 class _NanRunner:
     size = 1
 
+    drift_log = ()
+
     def process(self, instance):
         return float("nan") if instance.index == 3 else 0.0
-
-    def drift_indices(self):
-        return []
 
 
 def test_nan_prediction_aborts_with_diagnostic(monkeypatch):

@@ -365,31 +365,10 @@ def test_pagerank_sums_to_one():
 # Snapshots.
 # ---------------------------------------------------------------------------
 
-def test_edge_list_dump_reload(tmp_path):
+def test_edge_list_dump_reload():
     rng = make_rng(8)
     net = ExpertNetwork()
     for v in range(6):
         net.add_node(v, rng)
-    path = tmp_path / "edges.txt"
-    net.dump_edge_list(path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(net.edges())
-    reloaded = ExpertNetwork.from_edges(
-        net.node_ids(),
-        [tuple(int(p) for p in line.split()) for line in lines],
-    )
+    reloaded = ExpertNetwork.from_edges(net.node_ids(), net.edges())
     assert reloaded.edges() == net.edges()
-
-
-def test_node_table_dump(tmp_path):
-    rng = make_rng(8)
-    net = ExpertNetwork()
-    for v in range(3):
-        net.add_node(v, rng)
-    net.nodes[1].record_error(0.5)
-    path = tmp_path / "nodes.csv"
-    net.dump_node_table(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "id,phi,zeta,degree"
-    assert len(lines) == 4
-    assert lines[2].startswith("1,0.5,")
