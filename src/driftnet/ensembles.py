@@ -1,7 +1,8 @@
 """Ensemble regressors over the expert network, plus the AddExp baseline.
 
-The network ensemble holds one online learner per graph node and
-predicts the centrality-weighted mean of the expert forecasts:
+The network ensemble holds one online expert per graph node, in an
+expert bank (``learners.expert_bank``), and predicts the
+centrality-weighted mean of the expert forecasts:
 
     H(x) = sum_d zeta_d h_d(x) / sum_k zeta_k
 
@@ -32,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .adwin import Adwin
-from .learners import OnlineRegressor
+from .learners import ObjectBank, OnlineRegressor, expert_bank
 from .network import ExpertNetwork
 from .prng import make_rng
 from .streams import Instance
@@ -137,7 +138,7 @@ class ScaleFreeRegressor:
         self.prototype = prototype
         self.rng = make_rng(seed)
         self.network = ExpertNetwork(m_a=self.config.m_a)
-        self.learners: dict[int, OnlineRegressor] = {}
+        self.bank = expert_bank(prototype, self.config.k_max)
         self._next_id = 0
         self.buffer: deque[Instance] = deque(maxlen=self.config.buffer_size)
         self.drift_log: list[DriftEvent] = []
@@ -158,22 +159,29 @@ class ScaleFreeRegressor:
     def size(self) -> int:
         return len(self.network)
 
-    def _predict_all(self, x) -> tuple[float, dict[int, float]]:
-        ids = self.network.node_ids()
-        preds: dict[int, float] = {}
+    @property
+    def learners(self) -> dict[int, OnlineRegressor]:
+        """The experts by node id; an SGD bank of several answers with copies of its rows."""
+        return self.bank.learners()
+
+    @learners.setter
+    def learners(self, learners: dict[int, OnlineRegressor]) -> None:
+        self.bank = ObjectBank(learners)
+
+    def _predict_all(self, x) -> tuple[float, list[float]]:
+        preds = self.bank.predict(x)
+        nodes = self.network.nodes
         weighted = 0.0
         weight_total = 0.0
         plain = 0.0
-        for v in ids:
-            h = self.learners[v].predict(x)
-            preds[v] = h
-            zeta = self.network.nodes[v].zeta
+        for v, h in zip(self.bank.ids, preds):
+            zeta = nodes[v].zeta
             weighted += zeta * h
             weight_total += zeta
             plain += h
         if weight_total > 0.0:
             return weighted / weight_total, preds
-        return plain / len(ids), preds
+        return plain / len(preds), preds
 
     def predict(self, x) -> float:
         """Centrality-weighted ensemble forecast (no state change)."""
@@ -183,9 +191,10 @@ class ScaleFreeRegressor:
         """Test-then-train one instance; returns the pre-train forecast."""
         x, y = instance.x, instance.y
         forecast, preds = self._predict_all(x)
-        for v, h in preds.items():
-            self.network.nodes[v].record_error(h - y)
-            self.learners[v].update(x, y)
+        nodes = self.network.nodes
+        for v, h in zip(self.bank.ids, preds):
+            nodes[v].record_error(h - y)
+        self.bank.update(x, y)
         self.buffer.append(instance)
         fired = self._trigger(forecast - y, instance.index)
         if fired is not None:
@@ -224,7 +233,7 @@ class ScaleFreeRegressor:
         if len(self.network) >= self.config.k_max:
             victim = self.network.worst_node()
             self.network.remove_node(victim, self.rng)
-            del self.learners[victim]
+            self.bank.remove(victim)
         if not training_window:
             logger.warning("evolution at %d with an empty training window; "
                            "adding an untrained expert", event.index)
@@ -237,7 +246,7 @@ class ScaleFreeRegressor:
         for inst in training_window:
             fresh.update(inst.x, inst.y)
         self.network.add_node(self._next_id, self.rng)
-        self.learners[self._next_id] = fresh
+        self.bank.append(self._next_id, fresh)
         self._next_id += 1
         for node_id, zeta in self.network.centrality(self.config.metric).items():
             self.network.nodes[node_id].zeta = zeta

@@ -3,15 +3,21 @@
 Every learner satisfies the same small contract: ``predict(x)`` never
 mutates state, ``update(x, y)`` consumes one instance in O(features),
 and ``clone_fresh()`` returns an untrained learner with the same
-configuration. The ensemble treats experts purely through this
-interface, so heavier regressors can be plugged in later without
-touching ensemble code. A bare learner also runs on its own through
+configuration. Any learner meeting it can serve as an ensemble expert
+without touching ensemble code. A bare learner also runs on its own through
 the same ``process`` / ``size`` / ``drift_log`` shape as the ensembles.
 
 Inputs are checked once, where the stream enters, not by each expert:
 ``x`` must be a finite 1-D float64 array and ``y`` a finite float, as
 every ``streams.Instance`` holds. Only SGD guards the dimension, since
-numpy would silently broadcast a length-1 ``x``.
+numpy would silently broadcast a length-1 ``x``: the scalar learner in
+its own ``predict`` and ``update``, and ``SgdBank`` once per call for
+all of its rows.
+
+An ensemble holds its experts in a bank (``expert_bank``): ``SgdBank``
+keeps the experts of a plain ``SgdLinearRegressor`` prototype as rows of
+arrays and steps them together; ``ObjectBank`` loops over learner
+objects for every other prototype.
 """
 
 from __future__ import annotations
@@ -188,3 +194,243 @@ class RunningMeanRegressor(OnlineRegressor):
 
     def clone_fresh(self) -> "RunningMeanRegressor":
         return RunningMeanRegressor()
+
+
+class ObjectBank:
+    """An ensemble's experts as learner objects, one call per expert.
+
+    ``ids`` is ascending, the order of ``ExpertNetwork.node_ids()``;
+    ``predict`` returns the forecasts in that order. Works for any
+    ``OnlineRegressor``.
+    """
+
+    def __init__(self, learners: dict[int, OnlineRegressor] | None = None):
+        self.ids: list[int] = []
+        self._learners: list[OnlineRegressor] = []
+        for expert_id in sorted(learners or {}):
+            self.append(expert_id, learners[expert_id])
+
+    def append(self, expert_id: int, learner: OnlineRegressor) -> None:
+        _check_new_id(self.ids, expert_id)
+        self.ids.append(expert_id)
+        self._learners.append(learner)
+
+    def remove(self, expert_id: int) -> None:
+        i = self.ids.index(expert_id)
+        del self.ids[i]
+        del self._learners[i]
+
+    def predict(self, x) -> list[float]:
+        return [learner.predict(x) for learner in self._learners]
+
+    def update(self, x, y: float) -> None:
+        for learner in self._learners:
+            learner.update(x, y)
+
+    def learners(self) -> dict[int, OnlineRegressor]:
+        """The experts by id; these are the live objects."""
+        return dict(zip(self.ids, self._learners))
+
+
+class SgdBank:
+    """The experts of an ``SgdLinearRegressor`` ensemble as rows of arrays.
+
+    Row i holds expert ``ids[i]``: its weights and Welford mean, M2 and
+    inverse standard deviation (k x d), its bias and its update count
+    (k). ``predict`` and ``update`` apply the scalar learner's
+    operations to every row at once, in the same order, so each row
+    stays byte-equal to the learner it stands for. Every step is
+    elementwise except the dot products, and ``np.vecdot`` calls the
+    same BLAS dot per row as ``w @ x``; a sum over ``W * xs`` would
+    round differently.
+
+    A bank of one expert is that scalar learner itself: on one row the
+    array step costs about twice the scalar one, and an ensemble that
+    never evolves keeps one expert for the whole stream. Rows take over
+    when a second expert joins. Buffers hold ``capacity`` rows and are
+    allocated on the first trained row or the first update on rows,
+    since d is unknown before. The dimension is checked once per call
+    for all rows.
+    """
+
+    def __init__(self, prototype: SgdLinearRegressor, capacity: int):
+        self.learning_rate = prototype.learning_rate
+        self.capacity = capacity
+        self.ids: list[int] = []
+        self._single: SgdLinearRegressor | None = None  # the expert while there is one
+        self._d: int | None = None
+        self._untrained = False  # some row has count 0 (its next update keeps inv_std)
+
+    def _allocate(self, d: int) -> None:
+        c = self.capacity
+        self._d = d
+        self._w = np.zeros((c, d))
+        self._mean = np.zeros((c, d))
+        self._m2 = np.zeros((c, d))
+        self._inv_std = np.ones((c, d))
+        self._bias = np.zeros(c)
+        self._count = np.zeros(c)
+        self._xs = np.empty((c, d))
+        self._tmp = np.empty((c, d))
+        self._g = np.empty(c)
+        self._s = np.empty(c)
+        self._untrained = True
+        self._view()
+
+    def _view(self) -> None:
+        # row views of the k live experts, rebuilt when k changes
+        if self._d is None:
+            return
+        k = len(self.ids)
+        self._rows = (self._w[:k], self._bias[:k], self._mean[:k], self._m2[:k], self._inv_std[:k],
+                      self._count[:k], self._count[:k, None], self._xs[:k], self._tmp[:k],
+                      self._g[:k], self._g[:k, None], self._s[:k])
+
+    def _check(self, x) -> None:
+        if x.shape != (self._d,):
+            raise ValueError(f"feature dimension changed: expected {self._d}, got {x.shape}")
+
+    def append(self, expert_id: int, learner: SgdLinearRegressor) -> None:
+        """Add ``learner`` as the last expert; the bank owns it from now on.
+
+        A bank of one keeps the learner; beyond one, its state is copied
+        into a row.
+        """
+        _check_new_id(self.ids, expert_id)
+        k = len(self.ids)
+        if k == self.capacity:
+            raise ValueError(f"bank is full at {self.capacity} experts")
+        if k == 0:
+            self._single = learner
+        else:
+            if self._single is not None:
+                self._write_row(0, self._single)
+                self._single = None
+            self._write_row(k, learner)
+        self.ids.append(expert_id)
+        self._view()
+
+    def _write_row(self, i: int, learner: SgdLinearRegressor) -> None:
+        if learner.n_updates:
+            d = learner.weights.shape[0]
+            if self._d is None:
+                self._allocate(d)
+            elif d != self._d:
+                raise ValueError(f"feature dimension changed: expected {self._d}, got {(d,)}")
+            self._w[i] = learner.weights
+            self._bias[i] = learner.bias
+            self._mean[i] = learner._mean
+            self._m2[i] = learner._m2
+            self._inv_std[i] = learner._inv_std
+            self._count[i] = learner.n_updates
+        elif self._d is not None:
+            self._w[i] = self._bias[i] = self._mean[i] = self._m2[i] = self._count[i] = 0.0
+            self._inv_std[i] = 1.0
+            self._untrained = True
+
+    def remove(self, expert_id: int) -> None:
+        """Drop the expert; the rows above its row shift down one."""
+        i = self.ids.index(expert_id)
+        k = len(self.ids)
+        del self.ids[i]
+        if self._single is not None:
+            self._single = None
+        elif self._d is not None:
+            for a in (self._w, self._bias, self._mean, self._m2, self._inv_std, self._count):
+                a[i:k - 1] = a[i + 1:k]
+        if k == 2:
+            self._single = self._learner(0)
+        self._view()
+
+    def predict(self, x) -> list[float]:
+        if self._single is not None:
+            return [self._single.predict(x)]
+        if self._d is None:
+            return [0.0] * len(self.ids)
+        self._check(x)
+        w, bias, mean, _, inv_std, _, _, xs, _, g, _, _ = self._rows
+        np.subtract(x, mean, out=xs)
+        np.multiply(xs, inv_std, out=xs)
+        np.vecdot(w, xs, out=g)
+        g += bias
+        return g.tolist()
+
+    def update(self, x, y: float) -> None:
+        if self._single is not None:
+            self._single.update(x, y)
+            return
+        if self._d is None:
+            self._allocate(x.shape[0])
+        else:
+            self._check(x)
+        w, bias, mean, m2, inv_std, n, n_col, xs, tmp, g, g_col, s = self._rows
+        n += 1.0
+        np.subtract(x, mean, out=tmp)  # delta
+        np.divide(tmp, n_col, out=xs)
+        mean += xs
+        np.subtract(x, mean, out=xs)
+        np.multiply(tmp, xs, out=tmp)
+        m2 += tmp
+        np.subtract(n, 1.0, out=g)
+        if self._untrained:
+            np.maximum(g, 1.0, out=g)  # rows at their first update, masked out below
+        np.divide(m2, g_col, out=tmp)
+        np.maximum(tmp, SgdLinearRegressor._VAR_FLOOR, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        if self._untrained:
+            np.divide(1.0, tmp, out=inv_std, where=n_col >= 2.0)
+            self._untrained = False
+        else:
+            np.divide(1.0, tmp, out=inv_std)
+        xs *= inv_std
+        np.vecdot(w, xs, out=g)
+        g += bias
+        g -= y
+        g *= 2.0
+        np.vecdot(xs, xs, out=s)
+        s += 1.0
+        np.sqrt(s, out=s)
+        s *= np.abs(g)  # gradient norm
+        # clip factor: _GRAD_CLIP / norm above the cap, exactly 1.0 at or below it or for nan
+        np.fmax(s, SgdLinearRegressor._GRAD_CLIP, out=s)
+        np.divide(SgdLinearRegressor._GRAD_CLIP, s, out=s)
+        g *= s
+        g *= self.learning_rate  # step
+        np.multiply(xs, g_col, out=xs)
+        w -= xs
+        bias -= g
+
+    def learners(self) -> dict[int, SgdLinearRegressor]:
+        """The experts by id: the single learner, or copies of the rows."""
+        if self._single is not None:
+            return {self.ids[0]: self._single}
+        return {expert_id: self._learner(i) for i, expert_id in enumerate(self.ids)}
+
+    def _learner(self, i: int) -> SgdLinearRegressor:
+        learner = SgdLinearRegressor(self.learning_rate)
+        if self._d is None or self._count[i] == 0:
+            return learner
+        learner.n_updates = int(self._count[i])
+        learner.weights = self._w[i].copy()
+        learner.bias = float(self._bias[i])
+        learner._mean = self._mean[i].copy()
+        learner._m2 = self._m2[i].copy()
+        learner._inv_std = self._inv_std[i].copy()
+        learner._scratch = np.empty(self._d)
+        return learner
+
+
+def _check_new_id(ids: list[int], expert_id: int) -> None:
+    if ids and expert_id <= ids[-1]:
+        raise ValueError(f"expert ids must be appended in increasing order: {expert_id} after {ids[-1]}")
+
+
+def expert_bank(prototype: OnlineRegressor, capacity: int) -> ObjectBank | SgdBank:
+    """Empty bank for an ensemble of ``prototype`` clones, at most ``capacity`` of them.
+
+    Exactly ``SgdLinearRegressor`` gets the array bank; any other
+    learner, subclasses included, gets the object loop.
+    """
+    if type(prototype) is SgdLinearRegressor:
+        return SgdBank(prototype, capacity)
+    return ObjectBank()

@@ -12,7 +12,7 @@ from driftnet.ensembles import (
     ScaleFreeRegressor,
     SfnrConfig,
 )
-from driftnet.learners import OnlineRegressor, RunningMeanRegressor, SgdLinearRegressor
+from driftnet.learners import ObjectBank, OnlineRegressor, RunningMeanRegressor, SgdBank, SgdLinearRegressor
 from driftnet.network import ExpertNetwork
 from driftnet.prng import make_rng
 from driftnet.streams import Instance
@@ -48,6 +48,22 @@ class CountingLearner(OnlineRegressor):
 
     def clone_fresh(self) -> "CountingLearner":
         return CountingLearner()
+
+
+class PassThrough(OnlineRegressor):
+    """Wrapper expert that only delegates, as the benchmark's timing wrapper does."""
+
+    def __init__(self, inner: OnlineRegressor):
+        self.inner = inner
+
+    def predict(self, x) -> float:
+        return self.inner.predict(x)
+
+    def update(self, x, y: float) -> None:
+        self.inner.update(x, y)
+
+    def clone_fresh(self) -> "PassThrough":
+        return PassThrough(self.inner.clone_fresh())
 
 
 def make_instances(values, dim=2):
@@ -317,6 +333,61 @@ def test_process_returns_pretrain_forecast():
     # report that forecast, not the post-update one
     assert ens.process(inst) == 0.0
     assert ens.predict(inst.x) == 5.0
+
+
+def switching_stream(rng, n, every, dim=3):
+    # the target's weights flip sign every ``every`` instances
+    w = np.array([0.8, -0.3, 0.4])
+    return [Instance(x=(x := rng.random(dim)), y=float((-1) ** (i // every) * (w @ x)), index=i)
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("mode", ["period", "adwin"])
+def test_sgd_bank_matches_the_object_path(mode):
+    # a wrapped prototype takes the per-object loop, as a traced bench
+    # pass does; both must give the same bytes
+    cfg = dict(mode=mode, k_max=3, period=100, threshold=0.0, error_scale=1.0,
+               adwin_check_interval=1, buffer_size=200)
+    bank = ScaleFreeRegressor(SgdLinearRegressor(0.01), SfnrConfig(**cfg), seed=5)
+    loop = ScaleFreeRegressor(PassThrough(SgdLinearRegressor(0.01)), SfnrConfig(**cfg), seed=5)
+    assert isinstance(bank.bank, SgdBank)
+    assert isinstance(loop.bank, ObjectBank)
+    stream = switching_stream(make_rng(14), 3000, 1000)
+    a = np.array([bank.process(inst) for inst in stream])
+    b = np.array([loop.process(inst) for inst in stream])
+    assert a.tobytes() == b.tobytes()
+    assert bank.drift_log == loop.drift_log
+    assert len(bank.drift_log) > bank.config.k_max  # experts were evicted too
+    assert bank.network.edges() == loop.network.edges()
+
+
+def test_sgd_bank_guards_the_dimension_once_per_call(monkeypatch):
+    cfg = SfnrConfig(mode="period", period=20, threshold=0.0, k_max=3, error_scale=1.0)
+    ens = ScaleFreeRegressor(SgdLinearRegressor(), cfg, seed=3)
+    for inst in noisy_instances(make_rng(15), 60, dim=3):
+        ens.process(inst)
+    assert ens.size == 3
+    checks = []
+    check = SgdBank._check
+    monkeypatch.setattr(SgdBank, "_check", lambda bank, x: (checks.append(x), check(bank, x)))
+    x = np.array([0.2, 0.5, 0.9])
+    ens.process(Instance(x=x, y=0.3, index=60))
+    assert len(checks) == 2  # one predict and one update for all three rows
+    for bad in (np.array([0.5]), np.zeros(4)):
+        with pytest.raises(ValueError, match="feature dimension changed"):
+            ens.process(Instance(x=bad, y=0.3, index=61))
+
+
+def test_sgd_ensemble_learners_read_the_bank_rows():
+    cfg = SfnrConfig(mode="period", period=20, threshold=0.0, k_max=3, error_scale=1.0)
+    ens = ScaleFreeRegressor(SgdLinearRegressor(), cfg, seed=3)
+    for inst in noisy_instances(make_rng(16), 90, dim=3):
+        ens.process(inst)
+    x = np.array([0.2, 0.5, 0.9])
+    rows = dict(zip(ens.bank.ids, ens.bank.predict(x)))
+    assert sorted(ens.learners) == ens.network.node_ids()
+    for v, learner in ens.learners.items():
+        assert learner.predict(x) == rows[v]
 
 
 # ---------------------------------------------------------------------------

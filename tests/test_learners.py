@@ -1,11 +1,12 @@
 """Base learner tests: EMA forecaster, online SGD, running mean."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from driftnet.learners import EmaForecaster, RunningMeanRegressor, SgdLinearRegressor
+from driftnet.learners import EmaForecaster, RunningMeanRegressor, SgdBank, SgdLinearRegressor
 from driftnet.prng import make_rng
 
 X0 = np.zeros(1)  # EMA and mean learners ignore features
@@ -123,6 +124,89 @@ def test_sgd_survives_a_million_hostile_updates():
     assert np.all(np.isfinite(sgd.weights))
     assert math.isfinite(sgd.bias)
     assert math.isfinite(sgd.predict(np.array([1.0, 0.0, 3.25])))
+
+
+class _Unclipped(SgdLinearRegressor):
+    _GRAD_CLIP = math.inf
+
+
+def _hostile_instance(rng, t):
+    # the scale of test_sgd_survives_a_million_hostile_updates, switching faster
+    scale = 1e6 if (t // 50) % 3 == 0 else 1.0
+    x = np.array([rng.random() * scale, rng.random() - 0.5, 3.25])
+    return x, (rng.random() - 0.5) * scale
+
+
+def _assert_bank_matches(bank, ref, x):
+    assert bank.ids == list(ref)
+    forecasts = np.array([learner.predict(x) for learner in ref.values()])
+    assert np.array(bank.predict(x)).tobytes() == forecasts.tobytes()
+    for expert_id, row in bank.learners().items():
+        learner = ref[expert_id]
+        assert row.n_updates == learner.n_updates
+        if learner.n_updates:
+            assert row.bias == learner.bias
+            for name in ("weights", "_mean", "_m2", "_inv_std"):
+                assert getattr(row, name).tobytes() == getattr(learner, name).tobytes(), name
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 4])
+def test_sgd_bank_is_byte_identical_to_scalar_learners(k_max):
+    # every 60 instances: at capacity the middle row leaves; then an
+    # expert joins, alternately untrained and warm-started on the last
+    # 25 instances, so rows are removed, re-added and start from zero
+    rng = make_rng(43)
+    bank = SgdBank(SgdLinearRegressor(0.1), k_max)
+    ref: dict[int, SgdLinearRegressor] = {}
+    history = []
+    x, y = _hostile_instance(rng, 0)
+    for t in range(600):
+        untrained = None
+        if t == 0 or t % 60 == 30:
+            if len(ref) == k_max:
+                victim = bank.ids[len(bank.ids) // 2]
+                bank.remove(victim)
+                del ref[victim]
+            fresh = SgdLinearRegressor(0.1)
+            if t % 120 == 90:
+                for xw, yw in history[-25:]:
+                    fresh.update(xw, yw)
+            else:
+                untrained = t
+            bank.append(t, copy.deepcopy(fresh))  # the bank owns what it is given
+            ref[t] = fresh
+        _assert_bank_matches(bank, ref, x)
+        if untrained is not None:
+            assert bank.predict(x)[-1] == 0.0
+        bank.update(x, y)
+        for learner in ref.values():
+            learner.update(x, y)
+        _assert_bank_matches(bank, ref, x)
+        if untrained is not None:
+            assert (bank.learners()[untrained]._inv_std == 1.0).all()
+        history.append((x, y))
+        x, y = _hostile_instance(rng, t + 1)
+    assert len(ref) == k_max
+    # the stream is hostile enough that clipping changed the steps
+    clipped, unclipped = SgdLinearRegressor(0.1), _Unclipped(0.1)
+    for xw, yw in history[:30]:
+        clipped.update(xw, yw)
+        unclipped.update(xw, yw)
+    assert clipped.bias != unclipped.bias
+
+
+def test_sgd_bank_rejects_a_changed_dimension_and_a_full_bank():
+    bank = SgdBank(SgdLinearRegressor(), 2)
+    bank.append(0, SgdLinearRegressor())
+    bank.append(1, SgdLinearRegressor())
+    bank.update(np.array([1.0, 2.0]), 1.0)
+    for x in (np.array([1.0]), np.zeros(3)):
+        with pytest.raises(ValueError, match="feature dimension changed"):
+            bank.predict(x)
+        with pytest.raises(ValueError, match="feature dimension changed"):
+            bank.update(x, 1.0)
+    with pytest.raises(ValueError, match="full"):
+        bank.append(2, SgdLinearRegressor())
 
 
 def test_running_mean_is_exact():
