@@ -120,8 +120,11 @@ class SfnrConfig:
     def validate(self) -> None:
         if self.mode not in ("period", "adwin"):
             raise ValueError(f"mode must be 'period' or 'adwin', got {self.mode!r}")
-        if self.k_max < 1 or self.buffer_size < 1:
-            raise ValueError("k_max and buffer_size must be positive")
+        if self.k_max < 2:
+            raise ValueError(f"k_max must be at least 2, got {self.k_max}: an evolution at "
+                             "capacity retires an expert only beside its replacement")
+        if self.buffer_size < 1:
+            raise ValueError("buffer_size must be positive")
         if self.mode == "period" and self.period < 1:
             raise ValueError("period must be positive")
         if self.mode == "period" and self.threshold < 0:
@@ -147,7 +150,12 @@ class ScaleFreeRegressor:
         self.detector: Adwin | None = None
         self._period_sq_sum = 0.0
         self._period_count = 0
-        if self.config.mode == "adwin":
+        # period position where the training window opens; the bank may
+        # train the newcomer from there on instead of replaying the window
+        self._trainee_at = -1
+        if self.config.mode == "period":
+            self._trainee_at = max(0, self.config.period - self.config.buffer_size)
+        else:
             self.detector = Adwin(
                 delta=self.config.delta,
                 capacity=self.config.adwin_capacity,
@@ -194,6 +202,8 @@ class ScaleFreeRegressor:
         nodes = self.network.nodes
         for v, h in zip(self.bank.ids, preds):
             nodes[v].record_error(h - y)
+        if self._period_count == self._trainee_at:
+            self.bank.open_trainee()
         self.bank.update(x, y)
         self.buffer.append(instance)
         fired = self._trigger(forecast - y, instance.index)
@@ -226,7 +236,10 @@ class ScaleFreeRegressor:
         self.buffer.clear()
         self._period_sq_sum = 0.0
         self._period_count = 0
-        return (window, DriftEvent(index)) if period_rmse > self.config.threshold else None
+        if period_rmse > self.config.threshold:
+            return window, DriftEvent(index)
+        self.bank.drop_trainee()
+        return None
 
     def _evolve(self, training_window: list[Instance], event: DriftEvent) -> None:
         """Replace capacity-worst expert (if at capacity) with a fresh one."""
@@ -241,12 +254,9 @@ class ScaleFreeRegressor:
         self.drift_log.append(event)
 
     def _add_expert(self, training_window: list[Instance]) -> None:
-        """Warm-start a fresh expert on the window, attach it, and reweigh the vote."""
-        fresh = self.prototype.clone_fresh()
-        for inst in training_window:
-            fresh.update(inst.x, inst.y)
+        """Add an expert trained on the window, attach it, and reweigh the vote."""
+        self.bank.add_trained(self._next_id, self.prototype, training_window)
         self.network.add_node(self._next_id, self.rng)
-        self.bank.append(self._next_id, fresh)
         self._next_id += 1
         for node_id, zeta in self.network.centrality(self.config.metric).items():
             self.network.nodes[node_id].zeta = zeta

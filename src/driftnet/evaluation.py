@@ -143,6 +143,8 @@ class ExperimentConfig:
                              "and this run reads none (yahoo quotes always predict Close)")
         if self.data_path is None:
             check_stream_shape(self.length, self.dim, self.drift_times, self.drift_widths)
+        if self.algorithm.startswith("sfnr_"):
+            _sfnr_config(self).validate()
 
 
 def _resolved_error_scale(config: ExperimentConfig) -> float | None:
@@ -187,20 +189,22 @@ def _build_prototype(config: ExperimentConfig) -> OnlineRegressor:
     return RunningMeanRegressor()
 
 
+def _sfnr_config(config: ExperimentConfig) -> SfnrConfig:
+    """The network ensemble's parameters for an ``sfnr_*`` run."""
+    shared = {f.name: getattr(config, f.name) for f in fields(SfnrConfig) if hasattr(config, f.name)}
+    return SfnrConfig(**{**shared, "mode": config.algorithm.removeprefix("sfnr_"),
+                         "error_scale": _resolved_error_scale(config)})
+
+
 def _build_algorithm(config: ExperimentConfig, seed: int):
     """The model for one seed: anything with ``process``, ``size`` and ``drift_log``."""
     prototype = _build_prototype(config)
-    scale = _resolved_error_scale(config)
-    if config.algorithm in ("sfnr_adwin", "sfnr_period"):
-        shared = {f.name: getattr(config, f.name) for f in fields(SfnrConfig)
-                  if hasattr(config, f.name)}
-        sfnr = SfnrConfig(**{**shared, "mode": config.algorithm.removeprefix("sfnr_"),
-                             "error_scale": scale})
-        return ScaleFreeRegressor(prototype, sfnr, seed=derive_seed(seed, 0))
+    if config.algorithm.startswith("sfnr_"):
+        return ScaleFreeRegressor(prototype, _sfnr_config(config), seed=derive_seed(seed, 0))
     if config.algorithm == "addexp":
         return AddExpRegressor(
             prototype, beta=config.beta, gamma=config.gamma, tau=config.tau,
-            max_experts=config.max_experts, error_scale=scale,
+            max_experts=config.max_experts, error_scale=_resolved_error_scale(config),
         )
     return prototype
 

@@ -231,6 +231,16 @@ class ObjectBank:
         """The experts by id; these are the live objects."""
         return dict(zip(self.ids, self._learners))
 
+    def open_trainee(self) -> None:
+        """No-op: an object bank trains a newcomer only when it joins."""
+
+    def drop_trainee(self) -> None:
+        """No-op: an object bank holds no trainee."""
+
+    def add_trained(self, expert_id: int, prototype: OnlineRegressor, window) -> None:
+        """Add a fresh ``prototype`` clone warm-started on the instances of ``window``."""
+        self.append(expert_id, warm_start(prototype, window))
+
 
 class SgdBank:
     """The experts of an ``SgdLinearRegressor`` ensemble as rows of arrays.
@@ -247,10 +257,19 @@ class SgdBank:
     A bank of one expert is that scalar learner itself: on one row the
     array step costs about twice the scalar one, and an ensemble that
     never evolves keeps one expert for the whole stream. Rows take over
-    when a second expert joins. Buffers hold ``capacity`` rows and are
-    allocated on the first trained row or the first update on rows,
+    when a second expert joins. Buffers hold ``capacity + 1`` rows and
+    are allocated on the first trained row or the first update on rows,
     since d is unknown before. The dimension is checked once per call
     for all rows.
+
+    The extra row holds the trainee, a newcomer that learns its
+    warm-start window while the window arrives. ``open_trainee`` starts
+    it untrained in the row above the experts, and ``update`` trains it
+    in the same step as them; ``predict`` and ``learners`` never see it.
+    ``add_trained`` makes it the next expert with no replay, and
+    ``drop_trainee`` discards it; ``remove`` shifts it down with the
+    rows above the victim. A bank of one opens no trainee, so there
+    ``add_trained`` warm-starts a scalar learner on the window instead.
     """
 
     def __init__(self, prototype: SgdLinearRegressor, capacity: int):
@@ -258,11 +277,12 @@ class SgdBank:
         self.capacity = capacity
         self.ids: list[int] = []
         self._single: SgdLinearRegressor | None = None  # the expert while there is one
+        self._trainee = False  # row len(ids) trains a newcomer
         self._d: int | None = None
         self._untrained = False  # some row has count 0 (its next update keeps inv_std)
 
     def _allocate(self, d: int) -> None:
-        c = self.capacity
+        c = self.capacity + 1  # a full bank and its trainee
         self._d = d
         self._w = np.zeros((c, d))
         self._mean = np.zeros((c, d))
@@ -278,17 +298,26 @@ class SgdBank:
         self._view()
 
     def _view(self) -> None:
-        # row views of the k live experts, rebuilt when k changes
+        # row views of the k experts (predict) and of them plus a pending
+        # trainee (update), rebuilt when either changes
         if self._d is None:
             return
         k = len(self.ids)
-        self._rows = (self._w[:k], self._bias[:k], self._mean[:k], self._m2[:k], self._inv_std[:k],
-                      self._count[:k], self._count[:k, None], self._xs[:k], self._tmp[:k],
-                      self._g[:k], self._g[:k, None], self._s[:k])
+        self._live = (self._w[:k], self._bias[:k], self._mean[:k], self._inv_std[:k],
+                      self._xs[:k], self._g[:k])
+        n = k + self._trainee
+        self._rows = (self._w[:n], self._bias[:n], self._mean[:n], self._m2[:n], self._inv_std[:n],
+                      self._count[:n], self._count[:n, None], self._xs[:n], self._tmp[:n],
+                      self._g[:n], self._g[:n, None], self._s[:n])
 
     def _check(self, x) -> None:
         if x.shape != (self._d,):
             raise ValueError(f"feature dimension changed: expected {self._d}, got {x.shape}")
+
+    def _check_room(self, expert_id: int) -> None:
+        _check_new_id(self.ids, expert_id)
+        if len(self.ids) == self.capacity:
+            raise ValueError(f"bank is full at {self.capacity} experts")
 
     def append(self, expert_id: int, learner: SgdLinearRegressor) -> None:
         """Add ``learner`` as the last expert; the bank owns it from now on.
@@ -296,10 +325,10 @@ class SgdBank:
         A bank of one keeps the learner; beyond one, its state is copied
         into a row.
         """
-        _check_new_id(self.ids, expert_id)
+        self._check_room(expert_id)
+        if self._trainee:
+            raise ValueError("a trainee holds the next row; add it or drop it first")
         k = len(self.ids)
-        if k == self.capacity:
-            raise ValueError(f"bank is full at {self.capacity} experts")
         if k == 0:
             self._single = learner
         else:
@@ -323,23 +352,68 @@ class SgdBank:
             self._m2[i] = learner._m2
             self._inv_std[i] = learner._inv_std
             self._count[i] = learner.n_updates
-        elif self._d is not None:
+        else:
+            self._clear_row(i)
+
+    def _clear_row(self, i: int) -> None:
+        # an untrained learner's state; unallocated buffers start that way
+        if self._d is not None:
             self._w[i] = self._bias[i] = self._mean[i] = self._m2[i] = self._count[i] = 0.0
             self._inv_std[i] = 1.0
             self._untrained = True
 
     def remove(self, expert_id: int) -> None:
-        """Drop the expert; the rows above its row shift down one."""
+        """Drop the expert; the rows above its row, a trainee's too, shift down one."""
         i = self.ids.index(expert_id)
-        k = len(self.ids)
+        top = len(self.ids) + self._trainee
         del self.ids[i]
         if self._single is not None:
             self._single = None
         elif self._d is not None:
             for a in (self._w, self._bias, self._mean, self._m2, self._inv_std, self._count):
-                a[i:k - 1] = a[i + 1:k]
-        if k == 2:
+                a[i:top - 1] = a[i + 1:top]
+        self._settle()
+
+    def _settle(self) -> None:
+        # one expert and no trainee left on rows: back to the scalar learner
+        if len(self.ids) == 1 and not self._trainee:
             self._single = self._learner(0)
+        self._view()
+
+    def open_trainee(self) -> None:
+        """Start an untrained newcomer above the experts; a bank of one opens none.
+
+        Opening again restarts the trainee.
+        """
+        if self._single is not None or not self.ids:
+            return
+        self._trainee = True
+        self._clear_row(len(self.ids))
+        self._view()
+
+    def drop_trainee(self) -> None:
+        """Discard a pending trainee; the experts are untouched."""
+        if self._trainee:
+            self._trainee = False
+            self._settle()
+
+    def add_trained(self, expert_id: int, prototype: SgdLinearRegressor, window) -> None:
+        """Add a newcomer trained on the instances of ``window``.
+
+        A pending trainee has seen exactly those instances and becomes
+        the expert as it is; otherwise a fresh ``prototype`` clone is
+        warm-started on them.
+        """
+        if not self._trainee:
+            self.append(expert_id, warm_start(prototype, window))
+            return
+        self._check_room(expert_id)
+        k = len(self.ids)
+        seen = int(self._count[k]) if self._d is not None else 0
+        if seen != len(window):
+            raise ValueError(f"the trainee saw {seen} instances but the window holds {len(window)}")
+        self._trainee = False
+        self.ids.append(expert_id)
         self._view()
 
     def predict(self, x) -> list[float]:
@@ -348,7 +422,7 @@ class SgdBank:
         if self._d is None:
             return [0.0] * len(self.ids)
         self._check(x)
-        w, bias, mean, _, inv_std, _, _, xs, _, g, _, _ = self._rows
+        w, bias, mean, inv_std, xs, g = self._live
         np.subtract(x, mean, out=xs)
         np.multiply(xs, inv_std, out=xs)
         np.vecdot(w, xs, out=g)
@@ -418,6 +492,14 @@ class SgdBank:
         learner._inv_std = self._inv_std[i].copy()
         learner._scratch = np.empty(self._d)
         return learner
+
+
+def warm_start(prototype: OnlineRegressor, window) -> OnlineRegressor:
+    """A fresh ``prototype`` clone trained on the instances of ``window`` in order."""
+    learner = prototype.clone_fresh()
+    for inst in window:
+        learner.update(inst.x, inst.y)
+    return learner
 
 
 def _check_new_id(ids: list[int], expert_id: int) -> None:

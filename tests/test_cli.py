@@ -99,6 +99,22 @@ def test_run_unknown_format_is_usage_error(tmp_path, capsys, text):
     assert "unknown format" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("settings, flags, message", [
+    ("", ["--kmax", "0"], "k_max must be at least 2"),
+    ("", ["--kmax", "1"], "k_max must be at least 2"),
+    ("period = 0\n", [], "period must be positive"),
+    ("buffer_size = 0\n", [], "buffer_size must be positive"),
+], ids=["kmax-0", "kmax-1", "period-0", "buffer-0"])
+def test_run_bad_sfnr_setting_is_usage_error(tmp_path, capsys, monkeypatch, settings, flags, message):
+    def no_seed_runs(*args):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(evaluation, "_run_single_seed", no_seed_runs)
+    cfg = write_config(tmp_path, BASIC.replace("sfnr_adwin", "sfnr_period") + settings)
+    assert main(["run", cfg, *flags]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_run_non_finite_quote_names_the_line(tmp_path, capsys):
     quotes = tmp_path / "quotes.csv"
     quotes.write_text("Date,Open,High,Low,Close,Volume,Adj Close\n"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from driftnet import learners as learners_module
 from driftnet.ensembles import (
     AddExpRegressor,
     DriftEvent,
@@ -161,6 +162,13 @@ def test_config_validation():
         ScaleFreeRegressor(ConstantLearner(0.0), SfnrConfig(mode="period", period=0))
     with pytest.raises(ValueError):
         ScaleFreeRegressor(ConstantLearner(0.0), SfnrConfig(k_max=0))
+    # an evolution at capacity removes the worst expert before its
+    # replacement joins, which one expert cannot survive
+    with pytest.raises(ValueError, match="k_max must be at least 2.*beside its replacement"):
+        ScaleFreeRegressor(ConstantLearner(0.0), SfnrConfig(k_max=1))
+    with pytest.raises(ValueError, match="buffer_size must be positive"):
+        ScaleFreeRegressor(ConstantLearner(0.0), SfnrConfig(buffer_size=0))
+    ScaleFreeRegressor(ConstantLearner(0.0), SfnrConfig(k_max=2))
 
 
 # ---------------------------------------------------------------------------
@@ -342,23 +350,62 @@ def switching_stream(rng, n, every, dim=3):
             for i in range(n)]
 
 
-@pytest.mark.parametrize("mode", ["period", "adwin"])
-def test_sgd_bank_matches_the_object_path(mode):
+@pytest.mark.parametrize("case", [
+    dict(mode="period"),  # period 100 within buffer 200: the trainee sees whole periods
+    dict(mode="adwin"),
+    dict(mode="period", period=300),  # the trainee opens 100 instances into each period
+    dict(mode="period", period=200),  # period == buffer
+    dict(mode="period", period=300, k_max=2),  # one expert is left beside the trainee
+    dict(mode="period", period=300, threshold=0.05),  # some periods do not fire
+    dict(mode="period", period=300, reassign_at=1450),  # the bank is replaced mid-window
+], ids=["period", "adwin", "period-300-buffer-200", "period-equals-buffer", "k_max-2",
+        "some-periods-idle", "learners-reassigned"])
+def test_sgd_bank_matches_the_object_path(case, monkeypatch):
     # a wrapped prototype takes the per-object loop, as a traced bench
-    # pass does; both must give the same bytes
-    cfg = dict(mode=mode, k_max=3, period=100, threshold=0.0, error_scale=1.0,
+    # pass does; both must give the same bytes, although in period mode
+    # the bank trains each newcomer while its window arrives and the
+    # loop warm-starts it afterwards
+    cfg = dict(k_max=3, period=100, threshold=0.0, error_scale=1.0,
                adwin_check_interval=1, buffer_size=200)
+    cfg.update(case)
+    reassign_at = cfg.pop("reassign_at", None)
     bank = ScaleFreeRegressor(SgdLinearRegressor(0.01), SfnrConfig(**cfg), seed=5)
     loop = ScaleFreeRegressor(PassThrough(SgdLinearRegressor(0.01)), SfnrConfig(**cfg), seed=5)
     assert isinstance(bank.bank, SgdBank)
     assert isinstance(loop.bank, ObjectBank)
     stream = switching_stream(make_rng(14), 3000, 1000)
-    a = np.array([bank.process(inst) for inst in stream])
-    b = np.array([loop.process(inst) for inst in stream])
-    assert a.tobytes() == b.tobytes()
+    warm_starts = []
+    warm_start = learners_module.warm_start
+    monkeypatch.setattr(learners_module, "warm_start",
+                        lambda proto, window: (warm_starts.append(window), warm_start(proto, window))[1])
+    outputs, replays = [], []
+    for model in (bank, loop):
+        warm_starts.clear()
+        out = []
+        for inst in stream:
+            if inst.index == reassign_at:
+                model.learners = model.learners
+            out.append(model.process(inst))
+            if cfg["mode"] == "period" and (inst.index + 1) % cfg["period"] == 0:
+                # every period end promotes or drops the trainee
+                assert not getattr(model.bank, "_trainee", False)
+        outputs.append(np.array(out))
+        replays.append(len(warm_starts))
+    assert outputs[0].tobytes() == outputs[1].tobytes()
     assert bank.drift_log == loop.drift_log
-    assert len(bank.drift_log) > bank.config.k_max  # experts were evicted too
     assert bank.network.edges() == loop.network.edges()
+    evolutions = len(bank.drift_log)
+    assert evolutions > cfg["k_max"]  # experts were evicted too
+    if cfg["threshold"] > 0:
+        assert evolutions < len(stream) // cfg["period"]
+    # the loop replays every window; in period mode the bank replays only
+    # the first, into a bank of one, and those after it was replaced
+    if cfg["mode"] == "adwin":
+        assert replays == [evolutions, evolutions]
+    elif reassign_at is None:
+        assert replays == [1, evolutions]
+    else:
+        assert replays == [1 + sum(e.index > reassign_at for e in bank.drift_log), evolutions]
 
 
 def test_sgd_bank_guards_the_dimension_once_per_call(monkeypatch):

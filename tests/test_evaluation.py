@@ -104,6 +104,12 @@ def test_config_validation():
         _tiny_config(drift_times=(10,)).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(data_path="x.csv", target=None).validate()
+    # the ensemble's own settings are checked with the run's, for sfnr runs only
+    for bad in (dict(k_max=1), dict(buffer_size=0), dict(period=0)):
+        with pytest.raises(ValueError):
+            _tiny_config(algorithm="sfnr_period", **bad).validate()
+    _tiny_config(algorithm="sfnr_adwin", period=0).validate()  # adwin mode has no period
+    _tiny_config(algorithm="addexp", k_max=1).validate()
 
 
 class PoisonSpy(OnlineRegressor):

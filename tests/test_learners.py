@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from driftnet.learners import EmaForecaster, RunningMeanRegressor, SgdBank, SgdLinearRegressor
+from driftnet.learners import EmaForecaster, RunningMeanRegressor, SgdBank, SgdLinearRegressor, warm_start
 from driftnet.prng import make_rng
+from driftnet.streams import Instance
 
 X0 = np.zeros(1)  # EMA and mean learners ignore features
 
@@ -207,6 +208,74 @@ def test_sgd_bank_rejects_a_changed_dimension_and_a_full_bank():
             bank.update(x, 1.0)
     with pytest.raises(ValueError, match="full"):
         bank.append(2, SgdLinearRegressor())
+
+
+def _assert_same_learner(a, b):
+    # every field but the scratch buffer, whose contents are not state
+    assert vars(a).keys() == vars(b).keys()
+    for name, value in vars(a).items():
+        if name != "_scratch":
+            other = getattr(b, name)
+            assert (value.tobytes() == other.tobytes()) if isinstance(value, np.ndarray) else value == other, name
+
+
+@pytest.mark.parametrize("capacity", [2, 3])
+def test_sgd_bank_trainee_is_a_warm_start_without_the_replay(capacity):
+    # a full bank trains a trainee in its extra row: dropped, it leaves
+    # the experts' rows as they were; promoted after a middle expert
+    # leaves, it equals a scalar learner warm-started on what it saw
+    rng = make_rng(47)
+    stream = [Instance(*_hostile_instance(rng, t), index=t) for t in range(400)]
+    bank = SgdBank(SgdLinearRegressor(0.1), capacity)
+    ref = {}
+    for i in range(capacity):
+        ref[i] = warm_start(SgdLinearRegressor(0.1), stream[:40 * (i + 1)])
+        bank.append(i, copy.deepcopy(ref[i]))
+
+    def run(instances):
+        for inst in instances:
+            bank.update(inst.x, inst.y)
+            for learner in ref.values():
+                learner.update(inst.x, inst.y)
+            _assert_bank_matches(bank, ref, inst.x)  # the trainee stays out of sight
+
+    bank.open_trainee()
+    run(stream[200:260])
+    bank.drop_trainee()
+    run(stream[260:280])
+    bank.remove(0)
+    del ref[0]
+    bank.add_trained(capacity, SgdLinearRegressor(0.1), stream[260:280])  # no trainee: a warm start
+    ref[capacity] = warm_start(SgdLinearRegressor(0.1), stream[260:280])
+    _assert_same_learner(bank.learners()[capacity], ref[capacity])
+    bank.open_trainee()
+    window = stream[280:400]
+    run(window)
+    with pytest.raises(ValueError, match="full"):
+        bank.add_trained(capacity + 1, SgdLinearRegressor(0.1), window)
+    victim = bank.ids[len(bank.ids) // 2]
+    bank.remove(victim)  # at capacity 2 one expert is left on rows, beside the trainee
+    del ref[victim]
+    with pytest.raises(ValueError, match="a trainee holds the next row"):
+        bank.append(capacity + 1, SgdLinearRegressor(0.1))
+    with pytest.raises(ValueError, match="the trainee saw 120 instances but the window holds 119"):
+        bank.add_trained(capacity + 1, SgdLinearRegressor(0.1), window[1:])
+    bank.add_trained(capacity + 1, SgdLinearRegressor(0.1), window)
+    ref[capacity + 1] = warm_start(SgdLinearRegressor(0.1), window)
+    _assert_same_learner(bank.learners()[capacity + 1], ref[capacity + 1])
+    run(stream[:30])
+
+
+def test_sgd_bank_of_one_opens_no_trainee():
+    rng = make_rng(48)
+    window = [Instance(*_hostile_instance(rng, t), index=t) for t in range(50)]
+    bank = SgdBank(SgdLinearRegressor(0.1), 3)
+    bank.append(0, SgdLinearRegressor(0.1))
+    bank.open_trainee()
+    for inst in window:
+        bank.update(inst.x, inst.y)
+    bank.add_trained(1, SgdLinearRegressor(0.1), window)  # warm-started on the window instead
+    _assert_same_learner(bank.learners()[1], warm_start(SgdLinearRegressor(0.1), window))
 
 
 def test_running_mean_is_exact():
