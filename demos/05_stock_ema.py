@@ -37,7 +37,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     config = ExperimentConfig(
         algorithm="single_learner", learner="ema", ema_window=5,
-        data_path=str(csv_path), data_format="yahoo",
+        data_path=str(csv_path),
         report_every=50, window_size=50, seeds=(1,),
         record_timing=False)
     results = run_experiment(config)

@@ -98,7 +98,6 @@ def _to_error_scale(value: str):
 # config keys are the ExperimentConfig field names, except these aliases
 _KEY_ALIASES = {
     "data_path": "data",
-    "data_format": "format",
     "k_max": "kmax",
     "m_a": "ma",
     "adwin_check_interval": "check_interval",
@@ -215,10 +214,6 @@ def _cmd_gen(args) -> int:
              "drift_times": args.drift_times, "drift_widths": args.drift_widths}
     config = config_from_mapping({key: str(value) for key, value in flags.items()
                                   if value is not None}, full_scale=args.full)
-    if config.data_path is not None:
-        raise _UsageError(f"preset {args.preset!r} reads a dataset file; "
-                          "gen only writes synthetic streams")
-
     header = ",".join(f"x{i}" for i in range(config.dim)) + ",y"
     lines = (",".join(repr(float(v)) for v in instance.x) + f",{instance.y!r}"
              for instance in _build_instances(config, args.seed))

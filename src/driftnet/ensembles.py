@@ -55,7 +55,7 @@ class ErrorScale:
 
     def __init__(self, fixed: float | None = None, warmup: int = 500):
         if fixed is not None and fixed <= 0:
-            raise ValueError("fixed scale must be positive")
+            raise ValueError(f"error_scale must be positive, got {fixed}")
         if warmup < 1:
             raise ValueError("warmup must be positive")
         self.fixed = fixed
@@ -269,25 +269,26 @@ class AddExpRegressor:
     expert's weight by beta^loss (loss clamped into [0,1] by the shared
     error scale), add a fresh expert carrying gamma times the current
     total weight whenever the ensemble's own normalized loss exceeds
-    tau (pruning the weakest expert at capacity), then train everyone.
+    tau (pruning the weakest expert once ``k_max`` experts are in the
+    pool), then train everyone.
     Each addition is logged in ``drift_log`` as a ``DriftEvent``.
     Weights are floored at a tiny fraction of the total so a hopeless
     expert decays to irrelevance without ever underflowing to zero.
     """
 
     def __init__(self, prototype: OnlineRegressor, beta: float = 0.5, gamma: float = 0.1,
-                 tau: float = 0.05, max_experts: int = 10, error_scale: float | None = None):
+                 tau: float = 0.05, k_max: int = 10, error_scale: float | None = None):
         if not 0.0 < beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         if gamma <= 0 or tau <= 0:
             raise ValueError("gamma and tau must be positive")
-        if max_experts < 1:
-            raise ValueError("max_experts must be positive")
+        if k_max < 1:
+            raise ValueError(f"k_max must be positive, got {k_max}")
         self.prototype = prototype
         self.beta = beta
         self.gamma = gamma
         self.tau = tau
-        self.max_experts = max_experts
+        self.k_max = k_max
         self.scale = ErrorScale(error_scale)
         self.experts: list[OnlineRegressor] = [prototype.clone_fresh()]
         self.weights: list[float] = [1.0]
@@ -314,7 +315,7 @@ class AddExpRegressor:
         self._guard_weights()
         ensemble_loss = min(self.scale.normalize(prediction - y), 1.0)
         if ensemble_loss > self.tau:
-            if len(self.experts) == self.max_experts:
+            if len(self.experts) == self.k_max:
                 weakest = min(range(len(self.weights)), key=lambda i: (self.weights[i], i))
                 del self.experts[weakest]
                 del self.weights[weakest]

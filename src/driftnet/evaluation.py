@@ -42,7 +42,6 @@ DRIFT_LOG_HEADER = "algorithm,seed,instance_index"
 
 ALGORITHMS = ("sfnr_adwin", "sfnr_period", "addexp", "single_learner")
 LEARNERS = ("linear", "ema", "mean")
-FORMATS = ("csv", "yahoo")
 
 
 class PrequentialWindow(SquaredErrorWindow):
@@ -84,7 +83,10 @@ class ExperimentConfig:
 
     A synthetic stream is described by ``length``, ``dim``,
     ``drift_times`` and ``drift_widths`` (concepts are derived from the
-    run seed); setting ``data_path`` switches to file ingestion instead.
+    run seed); setting ``data_path`` switches to file ingestion instead:
+    a file with a ``target`` column is a generic numeric CSV, and one
+    without is read as Yahoo quotes, whose target is Close. ``k_max``
+    caps the pool of either ensemble, SFNR or AddExp.
     ``error_scale`` of None resolves to the known target half-range for
     synthetic streams and to a frozen running max for file streams.
     ``record_timing`` controls whether wall-clock nanoseconds are
@@ -98,7 +100,6 @@ class ExperimentConfig:
     drift_times: tuple[int, ...] = ()
     drift_widths: tuple[int, ...] = ()
     data_path: str | None = None
-    data_format: str = "csv"
     target: str | int | None = None
     learner: str = "linear"
     learning_rate: float = 0.01
@@ -116,7 +117,6 @@ class ExperimentConfig:
     beta: float = 0.5
     gamma: float = 0.1
     tau: float = 0.05
-    max_experts: int = 10
     seeds: tuple[int, ...] = (1,)
     report_every: int = 1000
     window_size: int = 10_000
@@ -125,26 +125,27 @@ class ExperimentConfig:
     record_timing: bool = True
 
     def validate(self) -> None:
+        """Raise ValueError for any setting a run would reject.
+
+        Settings that belong to a component (the ensemble, detector,
+        graph, learner or error window) are checked by building what one
+        seed builds, so each is checked once, by its owner.
+        """
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.learner not in LEARNERS:
             raise ValueError(f"unknown learner {self.learner!r}; choose from {LEARNERS}")
-        if self.data_format not in FORMATS:
-            raise ValueError(f"unknown format {self.data_format!r}; choose from {FORMATS}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if self.report_every < 1 or self.window_size < 1:
-            raise ValueError("report_every and window_size must be positive")
-        reads_csv = self.data_path is not None and self.data_format == "csv"
-        if reads_csv and self.target is None:
-            raise ValueError("file streams in csv format need a target column")
-        if not reads_csv and self.target is not None:
-            raise ValueError(f"target {self.target!r} is read only from a csv-format file, "
-                             "and this run reads none (yahoo quotes always predict Close)")
+        if self.report_every < 1:
+            raise ValueError("report_every must be positive")
         if self.data_path is None:
+            if self.target is not None:
+                raise ValueError(f"target {self.target!r} is read only from a data file, "
+                                 "and this run reads none")
             check_stream_shape(self.length, self.dim, self.drift_times, self.drift_widths)
-        if self.algorithm.startswith("sfnr_"):
-            _sfnr_config(self).validate()
+        _build_algorithm(self, self.seeds[0])
+        PrequentialWindow(self.window_size)
 
 
 def _resolved_error_scale(config: ExperimentConfig) -> float | None:
@@ -159,7 +160,7 @@ def _resolved_error_scale(config: ExperimentConfig) -> float | None:
 
 def _parse_data_file(config: ExperimentConfig) -> list[Instance]:
     with open(config.data_path, "r", encoding="utf-8") as fh:
-        if config.data_format == "yahoo":
+        if config.target is None:
             return parse_yahoo_csv(fh)
         return parse_regression_csv(fh, config.target)
 
@@ -204,7 +205,7 @@ def _build_algorithm(config: ExperimentConfig, seed: int):
     if config.algorithm == "addexp":
         return AddExpRegressor(
             prototype, beta=config.beta, gamma=config.gamma, tau=config.tau,
-            max_experts=config.max_experts, error_scale=_resolved_error_scale(config),
+            k_max=config.k_max, error_scale=_resolved_error_scale(config),
         )
     return prototype
 
@@ -390,12 +391,6 @@ def _hyperplane_preset(name: str, desc: str, full_times: tuple[int, ...],
     return Preset(name, desc, desk=desk, full=full)
 
 
-def _dataset_preset(name: str, desc: str, **stream) -> Preset:
-    full = ExperimentConfig(algorithm="sfnr_adwin", window_size=100_000, report_every=100,
-                            seeds=(1,), **stream)
-    return Preset(name, desc, desk=replace(full, window_size=10_000), full=full)
-
-
 PRESETS: dict[str, Preset] = {
     p.name: p for p in (
         _hyperplane_preset("rhpr-1", "rotating hyperplane, one abrupt drift",
@@ -406,12 +401,6 @@ PRESETS: dict[str, Preset] = {
                            (333_333, 750_000), (1, 1)),
         _hyperplane_preset("rhpr-4", "rotating hyperplane, two gradual drifts",
                            (333_333, 750_000), (1000, 1000)),
-        _dataset_preset("wine", "red wine quality (generic numeric CSV, 'quality' target)",
-                        data_path="data/winequality-red.csv", data_format="csv",
-                        target="quality", learner="linear"),
-        _dataset_preset("stock", "Yahoo-format daily quotes, EMA experts forecasting Close",
-                        data_path="data/stock.csv", data_format="yahoo",
-                        learner="ema", ema_window=5),
     )
 }
 
@@ -421,18 +410,12 @@ def describe_presets() -> str:
     lines = []
     for preset in PRESETS.values():
         full, desk = preset.full, preset.desk
-        if full.data_path is None:
-            t0 = ",".join(str(t) for t in full.drift_times) or "none"
-            w = ",".join(str(w) for w in full.drift_widths) or "-"
-            lines.append(
-                f"{preset.name}: {preset.description}; t0={t0} W={w} "
-                f"length={full.length} window={full.window_size} "
-                f"(desk scale: t0={','.join(str(t) for t in desk.drift_times)} "
-                f"length={desk.length} window={desk.window_size})"
-            )
-        else:
-            lines.append(
-                f"{preset.name}: {preset.description}; data={full.data_path} "
-                f"learner={full.learner} window={desk.window_size}"
-            )
+        t0 = ",".join(str(t) for t in full.drift_times) or "none"
+        w = ",".join(str(w) for w in full.drift_widths) or "-"
+        lines.append(
+            f"{preset.name}: {preset.description}; t0={t0} W={w} "
+            f"length={full.length} window={full.window_size} "
+            f"(desk scale: t0={','.join(str(t) for t in desk.drift_times)} "
+            f"length={desk.length} window={desk.window_size})"
+        )
     return "\n".join(lines)

@@ -70,7 +70,7 @@ class EmaForecaster(OnlineRegressor):
 
     def __init__(self, window: int = 5):
         if window < 1:
-            raise ValueError("window must be positive")
+            raise ValueError(f"EMA window must be positive, got {window}")
         self.window = int(window)
         self.multiplier = 2.0 / (window + 1)
         self.current: float | None = None
@@ -257,10 +257,12 @@ class SgdBank:
     A bank of one expert is that scalar learner itself: on one row the
     array step costs about twice the scalar one, and an ensemble that
     never evolves keeps one expert for the whole stream. Rows take over
-    when a second expert joins. Buffers hold ``capacity + 1`` rows and
-    are allocated on the first trained row or the first update on rows,
-    since d is unknown before. The dimension is checked once per call
-    for all rows.
+    when a second expert joins and keep the experts from then on: an
+    ensemble is back to one expert only at ``k_max = 2``, between a
+    removal and the addition that follows it. Buffers hold
+    ``capacity + 1`` rows and are allocated on the first trained row or
+    the first update on rows, since d is unknown before. The dimension
+    is checked once per call for all rows.
 
     The extra row holds the trainee, a newcomer that learns its
     warm-start window while the window arrives. ``open_trainee`` starts
@@ -268,8 +270,9 @@ class SgdBank:
     in the same step as them; ``predict`` and ``learners`` never see it.
     ``add_trained`` makes it the next expert with no replay, and
     ``drop_trainee`` discards it; ``remove`` shifts it down with the
-    rows above the victim. A bank of one opens no trainee, so there
-    ``add_trained`` warm-starts a scalar learner on the window instead.
+    rows above the victim. The scalar learner of a bank of one opens no
+    trainee, so there ``add_trained`` warm-starts a learner on the
+    window instead.
     """
 
     def __init__(self, prototype: SgdLinearRegressor, capacity: int):
@@ -372,16 +375,10 @@ class SgdBank:
         elif self._d is not None:
             for a in (self._w, self._bias, self._mean, self._m2, self._inv_std, self._count):
                 a[i:top - 1] = a[i + 1:top]
-        self._settle()
-
-    def _settle(self) -> None:
-        # one expert and no trainee left on rows: back to the scalar learner
-        if len(self.ids) == 1 and not self._trainee:
-            self._single = self._learner(0)
         self._view()
 
     def open_trainee(self) -> None:
-        """Start an untrained newcomer above the experts; a bank of one opens none.
+        """Start an untrained newcomer above the experts; a scalar learner opens none.
 
         Opening again restarts the trainee.
         """
@@ -395,7 +392,7 @@ class SgdBank:
         """Discard a pending trainee; the experts are untouched."""
         if self._trainee:
             self._trainee = False
-            self._settle()
+            self._view()
 
     def add_trained(self, expert_id: int, prototype: SgdLinearRegressor, window) -> None:
         """Add a newcomer trained on the instances of ``window``.

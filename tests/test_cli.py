@@ -65,9 +65,11 @@ def test_run_missing_config_is_usage_error(capsys):
 
 
 def test_run_unknown_key_is_usage_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, "algorithm = sfnr_adwin\nbogus = 1\n")
-    assert main(["run", cfg]) == 1
-    assert "bogus" in capsys.readouterr().err
+    # format is no key: a data file with a target is a generic csv, one without is Yahoo quotes
+    for key, value in (("bogus", "1"), ("format", "yahoo")):
+        cfg = write_config(tmp_path, f"algorithm = sfnr_adwin\n{key} = {value}\n")
+        assert main(["run", cfg]) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_run_bad_value_is_usage_error(tmp_path, capsys):
@@ -92,13 +94,6 @@ def test_run_bad_stream_shape_is_usage_error(tmp_path, capsys, shape):
     assert "synthetic streams need" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["format = yaho\n", "format = xml\n"], ids=["yaho", "xml"])
-def test_run_unknown_format_is_usage_error(tmp_path, capsys, text):
-    cfg = write_config(tmp_path, "data = quotes.csv\n" + text)
-    assert main(["run", cfg]) == 1
-    assert "unknown format" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("settings, flags, message", [
     ("", ["--kmax", "0"], "k_max must be at least 2"),
     ("", ["--kmax", "1"], "k_max must be at least 2"),
@@ -115,13 +110,58 @@ def test_run_bad_sfnr_setting_is_usage_error(tmp_path, capsys, monkeypatch, sett
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("settings, message", [
+    ("metric = katz\n", "unknown metric 'katz'"),
+    ("delta = 1.5\n", "delta must lie in (0, 1), got 1.5"),
+    ("ma = 0\n", "m_a must be positive"),
+    ("capacity = 0\n", "capacity must be positive"),
+    ("check_interval = 0\n", "check_interval must be positive"),
+    ("error_scale = 0\n", "error_scale must be positive, got 0.0"),
+    ("learning_rate = 0\n", "learning_rate must be positive"),
+    ("algorithm = addexp\nbeta = 1.5\n", "beta must lie in (0, 1)"),
+    ("algorithm = addexp\ngamma = 0\n", "gamma and tau must be positive"),
+    ("algorithm = addexp\ntau = -1\n", "gamma and tau must be positive"),
+    ("algorithm = addexp\nkmax = 0\n", "k_max must be positive, got 0"),
+    ("learner = ema\nema_window = 0\n", "EMA window must be positive, got 0"),
+    ("algorithm = addexp\nerror_scale = -1\n", "error_scale must be positive, got -1.0"),
+], ids=["metric", "delta", "ma", "capacity", "check_interval", "error_scale", "learning_rate",
+        "beta", "gamma", "tau", "kmax-addexp", "ema_window", "error_scale-addexp"])
+def test_run_setting_checked_by_its_owner_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                         settings, message):
+    # each setting is checked once, by the component built from it, before any seed runs
+    def no_seed_runs(*args):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(evaluation, "_run_single_seed", no_seed_runs)
+    cfg = write_config(tmp_path, BASIC.replace("algorithm = sfnr_adwin\n", "") + settings)
+    assert main(["run", cfg]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_run_setting_checked_by_its_owner_before_the_pool_starts(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    cfg = write_config(tmp_path, BASIC + "metric = katz\n")
+    assert main(["run", cfg, "--workers", "2"]) == 1
+    assert "unknown metric 'katz'" in capsys.readouterr().err
+    assert _RecordingPool.sizes == []
+
+
+def test_run_csv_without_target_is_read_as_yahoo_quotes(tmp_path, capsys):
+    data = tmp_path / "plain.csv"
+    data.write_text("a,b,y\n0.5,0.25,1.0\n")
+    cfg = write_config(tmp_path, f"data = {data}\ntiming = false\n")
+    assert main(["run", cfg]) == 2
+    assert "line 1: expected header Date,Open,High,Low,Close,Volume,Adj Close" in (
+        capsys.readouterr().err)
+
+
 def test_run_non_finite_quote_names_the_line(tmp_path, capsys):
     quotes = tmp_path / "quotes.csv"
     quotes.write_text("Date,Open,High,Low,Close,Volume,Adj Close\n"
                       "2014-01-02,18.0,18.5,17.5,18.2,2000,18.1\n"
                       "2014-01-03,19.0,19.5,18.5,19.2,nan,19.1\n")
-    cfg = write_config(tmp_path, f"data = {quotes}\nformat = yahoo\nlearner = ema\n"
-                                 "timing = false\n")
+    cfg = write_config(tmp_path, f"data = {quotes}\nlearner = ema\ntiming = false\n")
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
     assert "line 3: non-finite training input 'nan' in column 'Volume'" in err
@@ -226,11 +266,6 @@ def test_gen_to_stdout(capsys):
     assert len(lines) == 6
 
 
-def test_gen_dataset_preset_rejected(capsys):
-    assert main(["gen", "--preset", "wine"]) == 1
-    assert "dataset" in capsys.readouterr().err
-
-
 def test_gen_mismatched_drift_args_rejected(capsys):
     assert main(["gen", "--length", "10", "--drift-times", "5"]) == 1
 
@@ -256,7 +291,9 @@ def test_list_presets_pins_table_parameters(capsys):
     assert "rhpr-1" in out
     assert "t0=500000 W=1" in out
     assert "rhpr-4" in out
-    assert "wine" in out and "stock" in out
+    # every preset is a synthetic stream; a real file is read through the data key
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "rhpr-1", "rhpr-2", "rhpr-3", "rhpr-4"]
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +354,7 @@ def test_config_mapping_value_types():
     assert config_from_mapping({"data": "wine.csv", "target": "-1"}).target == -1
 
 
-@pytest.mark.parametrize("mapping", [
-    {"data": "quotes.csv", "format": "yahoo", "target": "3"},
-    {"target": "3"},
-], ids=["yahoo", "synthetic"])
+@pytest.mark.parametrize("mapping", [{"target": "3"}], ids=["synthetic"])
 def test_config_mapping_rejects_a_target_the_run_ignores(mapping):
     with pytest.raises(_UsageError, match="target"):
         config_from_mapping(mapping)
@@ -340,7 +374,6 @@ EVERY_KEY = {
     "drift_times": ("10,20", "drift_times", (10, 20)),
     "drift_widths": ("1,3", "drift_widths", (1, 3)),
     "data": ("quotes.csv", "data_path", "quotes.csv"),
-    "format": ("yahoo", "data_format", "yahoo"),
     "target": ("3", "target", 3),
     "learner": ("ema", "learner", "ema"),
     "learning_rate": ("0.25", "learning_rate", 0.25),
@@ -358,7 +391,6 @@ EVERY_KEY = {
     "beta": ("0.25", "beta", 0.25),
     "gamma": ("0.2", "gamma", 0.2),
     "tau": ("0.1", "tau", 0.1),
-    "max_experts": ("6", "max_experts", 6),
     "seeds": ("3,4", "seeds", (3, 4)),
     "report_every": ("10", "report_every", 10),
     "window_size": ("20", "window_size", 20),
@@ -369,17 +401,12 @@ EVERY_KEY = {
 
 
 def test_config_mapping_accepts_every_key():
-    # a yahoo file has no target column to name, so target lands in a
-    # csv-format config of its own
-    texts = {key: text for key, (text, _, _) in EVERY_KEY.items()}
-    yahoo = config_from_mapping({k: v for k, v in texts.items() if k != "target"})
-    csv = config_from_mapping({k: v for k, v in texts.items() if k != "format"})
+    config = config_from_mapping({key: text for key, (text, _, _) in EVERY_KEY.items()})
     default = ExperimentConfig()
-    assert len(EVERY_KEY) == 31
+    assert len(EVERY_KEY) == 29
     assert sorted(field for _, field, _ in EVERY_KEY.values()) == sorted(
         f.name for f in fields(ExperimentConfig))
     for key, (_, field, expected) in EVERY_KEY.items():
-        config = csv if key == "target" else yahoo
         assert expected != getattr(default, field), key
         assert getattr(config, field) == expected, key
 

@@ -471,7 +471,7 @@ def test_addexp_accurate_expert_never_grows():
 
 def test_addexp_capacity_prunes_weakest():
     model = AddExpRegressor(ConstantLearner(0.0), beta=0.5, tau=0.05,
-                            max_experts=3, error_scale=1.0)
+                            k_max=3, error_scale=1.0)
     for inst in make_instances([1.0] * 50):
         model.process(inst)
     assert model.size == 3
@@ -481,7 +481,7 @@ def test_addexp_capacity_prunes_weakest():
 
 def test_addexp_weights_stay_positive_under_constant_misses():
     model = AddExpRegressor(ConstantLearner(0.0), beta=0.5, tau=0.05,
-                            max_experts=5, error_scale=1.0)
+                            k_max=5, error_scale=1.0)
     for inst in make_instances([1.0] * 5000):
         model.process(inst)
     assert all(w > 0.0 and math.isfinite(w) for w in model.weights)
@@ -499,7 +499,7 @@ def test_addexp_losses_are_capped_at_one():
 def test_addexp_learns_after_drift():
     rng = make_rng(13)
     model = AddExpRegressor(SgdLinearRegressor(learning_rate=0.05),
-                            beta=0.5, gamma=0.1, tau=0.1, max_experts=10,
+                            beta=0.5, gamma=0.1, tau=0.1, k_max=10,
                             error_scale=1.0)
     stream = linear_drift_stream(rng, 6000, 3000)
     errors = [abs(model.process(inst) - inst.y) for inst in stream]
@@ -513,4 +513,4 @@ def test_addexp_validation():
     with pytest.raises(ValueError):
         AddExpRegressor(ConstantLearner(0.0), gamma=0.0)
     with pytest.raises(ValueError):
-        AddExpRegressor(ConstantLearner(0.0), max_experts=0)
+        AddExpRegressor(ConstantLearner(0.0), k_max=0)

@@ -102,14 +102,28 @@ def test_config_validation():
         _tiny_config(seeds=()).validate()
     with pytest.raises(ValueError):
         _tiny_config(drift_times=(10,)).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(data_path="x.csv", target=None).validate()
     # the ensemble's own settings are checked with the run's, for sfnr runs only
     for bad in (dict(k_max=1), dict(buffer_size=0), dict(period=0)):
         with pytest.raises(ValueError):
             _tiny_config(algorithm="sfnr_period", **bad).validate()
     _tiny_config(algorithm="sfnr_adwin", period=0).validate()  # adwin mode has no period
     _tiny_config(algorithm="addexp", k_max=1).validate()
+    # every other setting is checked by the component built from it
+    for algorithm, bad, message in (
+            ("sfnr_adwin", dict(metric="katz"), "unknown metric 'katz'"),
+            ("sfnr_adwin", dict(delta=1.5), r"delta must lie in \(0, 1\)"),
+            ("sfnr_adwin", dict(m_a=0), "m_a must be positive"),
+            ("sfnr_adwin", dict(adwin_capacity=0), "capacity must be positive"),
+            ("sfnr_adwin", dict(error_scale=0.0), "error_scale must be positive"),
+            ("addexp", dict(k_max=0), "k_max must be positive"),
+            ("addexp", dict(tau=0.0), "gamma and tau must be positive"),
+            ("single_learner", dict(learning_rate=0.0), "learning_rate must be positive"),
+            ("single_learner", dict(learner="ema", ema_window=0), "EMA window must be positive"),
+            ("single_learner", dict(window_size=0), "window_size must be positive")):
+        with pytest.raises(ValueError, match=message):
+            _tiny_config(algorithm=algorithm, **bad).validate()
+    # a data file without a target is Yahoo quotes, whose target is Close
+    ExperimentConfig(data_path="x.csv").validate()
 
 
 class PoisonSpy(OnlineRegressor):
@@ -177,7 +191,7 @@ def test_bare_learner_process_forecasts_before_training():
 
 
 def test_addexp_logs_one_drift_event_per_addition():
-    config = _tiny_config(algorithm="addexp", max_experts=1000)
+    config = _tiny_config(algorithm="addexp", k_max=1000)
     model = evaluation._build_algorithm(config, 1)
     for instance in evaluation._build_instances(config, 1):
         model.process(instance)
@@ -328,7 +342,7 @@ def test_serial_run_parses_a_data_file_once(monkeypatch, tmp_path):
     for workers in (1, 3):
         out, log = tmp_path / f"rows{workers}.csv", tmp_path / f"drifts{workers}.csv"
         config = ExperimentConfig(
-            algorithm="sfnr_adwin", data_path=str(path), data_format="yahoo",
+            algorithm="sfnr_adwin", data_path=str(path),
             learner="ema", seeds=(1, 2, 3), report_every=100, window_size=100,
             adwin_check_interval=1, error_scale=1.0, record_timing=False,
             out=str(out), drift_log_out=str(log))
@@ -379,8 +393,7 @@ def test_summarize_mean_and_stdev():
 # ---------------------------------------------------------------------------
 
 def test_preset_catalog():
-    assert set(PRESETS) == {"rhpr-1", "rhpr-2", "rhpr-3", "rhpr-4",
-                            "wine", "stock"}
+    assert set(PRESETS) == {"rhpr-1", "rhpr-2", "rhpr-3", "rhpr-4"}
     full = PRESETS["rhpr-1"].full
     assert (full.length, full.drift_times, full.drift_widths) == (
         1_000_000, (500_000,), (1,))
@@ -391,9 +404,8 @@ def test_preset_catalog():
     rhpr3 = PRESETS["rhpr-3"].full
     assert rhpr3.drift_times == (333_333, 750_000)
     assert PRESETS["rhpr-2"].full.drift_widths == (1000,)
-    assert PRESETS["wine"].desk.target == "quality"
-    assert PRESETS["stock"].desk.data_format == "yahoo"
-    assert PRESETS["stock"].desk.learner == "ema"
+    # every preset is synthetic: a real file is read through the data key
+    assert all(p.full.data_path is None for p in PRESETS.values())
 
 
 def test_preset_description_pins_full_scale():
@@ -401,7 +413,7 @@ def test_preset_description_pins_full_scale():
     assert "rhpr-1" in text
     assert "t0=500000 W=1" in text
     assert "t0=333333,750000" in text
-    assert "wine" in text and "stock" in text
+    assert len(text.splitlines()) == len(PRESETS)
 
 
 def test_default_error_scale_is_half_target_range():
