@@ -34,6 +34,10 @@ starts, and the scan jumps to the first one that w passes (or to w
 itself) and repeats. The cut lands on the first start with no failing
 split, exactly where dropping one value at a time would stop, and
 costs O(width) per pass instead of O(width) per dropped value.
+
+Both passes read the split sizes and their reciprocals as slices of two
+tables built once, counts 0 .. capacity and 1 / count; division is
+correctly rounded, so each entry equals the division it replaces.
 """
 
 from __future__ import annotations
@@ -92,6 +96,9 @@ class Adwin:
         # ln(4 n / delta) for n = 1 .. _n_logged - 1, each computed once
         self._log_terms = np.empty(self.capacity + 1)
         self._n_logged = 1
+        # sub-window sizes 0 .. capacity as floats, and their reciprocals (slot 0 unused)
+        self._counts = np.arange(self.capacity + 1, dtype=float)
+        self._inverses = 1.0 / np.maximum(self._counts, 1.0)
 
     @property
     def width(self) -> int:
@@ -149,7 +156,9 @@ class Adwin:
         np.cumsum(self._buf[self._head:self._tail], out=prefix[1:])
         j = 0  # oldest surviving value, as an offset into the window
         while n_total - j >= 2:
-            gap, eps = self._split_test(prefix, j, np.arange(j + 1, n_total))
+            m = n_total - j
+            gap, eps = self._split_test(prefix, j, slice(j + 1, n_total),
+                                        slice(1, m), slice(m - 1, 0, -1), m)
             fails = gap >= eps
             if not fails.any():
                 break
@@ -157,7 +166,8 @@ class Adwin:
             # dropped too. The most significant failing split tends to
             # keep failing longest, so test it alone at each of them.
             w = j + 1 + int(np.where(fails, gap / eps, 0.0).argmax())
-            gap, eps = self._split_test(prefix, np.arange(j + 1, w), w)
+            gap, eps = self._split_test(prefix, slice(j + 1, w), w, slice(w - j - 1, 0, -1),
+                                        n_total - w, slice(m - 1, n_total - w, -1))
             passes = np.flatnonzero(gap < eps)
             j = j + 1 + int(passes[0]) if passes.size else w
         if j:
@@ -165,17 +175,16 @@ class Adwin:
             self.last_cut = (n_total, n_total - j)
         return j
 
-    def _split_test(self, prefix, start, split):
+    def _split_test(self, prefix, start, split, old, new, width):
         """Mean gap and ``eps_cut`` of the window from ``start`` split at ``split``.
 
-        ``start`` and ``split`` are offsets into the window (one may be
-        an array); ``prefix`` is the window's prefix sum with a leading
-        zero. Both passes of a scan use this, so a split gets the same
-        verdict at a start whichever pass tests it.
+        Each index is an int or a slice: ``start`` and ``split`` into the
+        prefix sum (leading zero), ``old`` and ``new`` into the count
+        tables, ``width`` into the log terms. Both passes use this, so a
+        split gets the same verdict at a start whichever pass tests it.
         """
-        n_total = prefix.size - 1
-        n0 = np.subtract(split, start, dtype=float)
-        n1 = np.subtract(n_total, split, dtype=float)
-        gap = np.abs((prefix[split] - prefix[start]) / n0 - (prefix[-1] - prefix[split]) / n1)
-        eps = np.sqrt(0.5 * (1.0 / n0 + 1.0 / n1) * self._log_terms[n_total - start])
+        counts, inverses = self._counts, self._inverses
+        gap = np.abs((prefix[split] - prefix[start]) / counts[old]
+                     - (prefix[-1] - prefix[split]) / counts[new])
+        eps = np.sqrt(0.5 * (inverses[old] + inverses[new]) * self._log_terms[width])
         return gap, eps

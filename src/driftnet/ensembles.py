@@ -7,7 +7,9 @@ centrality-weighted mean of the expert forecasts:
     H(x) = sum_d zeta_d h_d(x) / sum_k zeta_k
 
 falling back to the plain mean when every weight is zero (possible
-under betweenness on tiny graphs). The ensemble evolves, instead of
+under betweenness on tiny graphs). One pass over the experts per
+instance sums the vote and hands each expert's error to its node's
+error window. The ensemble evolves, instead of
 retraining wholesale, whenever its evolution trigger fires:
 
 * period mode: every ``period`` instances the accumulated ensemble RMSE
@@ -176,32 +178,34 @@ class ScaleFreeRegressor:
     def learners(self, learners: dict[int, OnlineRegressor]) -> None:
         self.bank = ObjectBank(learners)
 
-    def _predict_all(self, x) -> tuple[float, list[float]]:
+    def _vote(self, x, y: float | None = None) -> float:
+        """Centrality-weighted forecast; given the target ``y``, also record each expert's error."""
         preds = self.bank.predict(x)
         nodes = self.network.nodes
         weighted = 0.0
         weight_total = 0.0
-        plain = 0.0
         for v, h in zip(self.bank.ids, preds):
-            zeta = nodes[v].zeta
+            node = nodes[v]
+            zeta = node.zeta
             weighted += zeta * h
             weight_total += zeta
-            plain += h
+            if y is not None:
+                node.record_error(h - y)
         if weight_total > 0.0:
-            return weighted / weight_total, preds
-        return plain / len(preds), preds
+            return weighted / weight_total
+        plain = 0.0
+        for h in preds:
+            plain += h
+        return plain / len(preds)
 
     def predict(self, x) -> float:
         """Centrality-weighted ensemble forecast (no state change)."""
-        return self._predict_all(x)[0]
+        return self._vote(x)
 
     def process(self, instance: Instance) -> float:
         """Test-then-train one instance; returns the pre-train forecast."""
         x, y = instance.x, instance.y
-        forecast, preds = self._predict_all(x)
-        nodes = self.network.nodes
-        for v, h in zip(self.bank.ids, preds):
-            nodes[v].record_error(h - y)
+        forecast = self._vote(x, y)
         if self._period_count == self._trainee_at:
             self.bank.open_trainee()
         self.bank.update(x, y)

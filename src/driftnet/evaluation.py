@@ -144,6 +144,10 @@ class ExperimentConfig:
                 raise ValueError(f"target {self.target!r} is read only from a data file, "
                                  "and this run reads none")
             check_stream_shape(self.length, self.dim, self.drift_times, self.drift_widths)
+        elif shape := [key for key in ("length", "dim", "drift_times", "drift_widths")
+                       if getattr(self, key) != getattr(ExperimentConfig, key)]:
+            raise ValueError(f"{', '.join(shape)} shape a synthetic stream only, "
+                             f"and this run reads the data file {self.data_path!r}")
         _build_algorithm(self, self.seeds[0])
         PrequentialWindow(self.window_size)
 

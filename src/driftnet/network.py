@@ -97,38 +97,41 @@ def weighted_sample_without_replacement(probs, k: int, rng: np.random.Generator)
 class SquaredErrorWindow:
     """Sliding window of squared errors with a running sum.
 
-    The running sum is exactly re-summed with ``fsum`` once per window
-    length of pushes, so incremental float drift never accumulates.
+    A push overwrites one slot of a list ring (0.0 until first written,
+    filled from the end), subtracting the old square and adding the new.
+    When the position wraps, once per window length of pushes, the sum
+    is exactly re-summed with ``fsum``, so float drift never accumulates.
     """
 
-    __slots__ = ("_squares", "_sum", "_pushes")
+    __slots__ = ("_ring", "_sum", "_pos", "_full")
 
     def __init__(self, length: int):
-        self._squares: deque[float] = deque(maxlen=length)
+        self._ring = [0.0] * length
         self._sum = 0.0
-        self._pushes = 0
+        self._pos = length - 1  # the slot the next push overwrites
+        self._full = False
 
     def __len__(self) -> int:
-        return len(self._squares)
+        return len(self._ring) if self._full else len(self._ring) - 1 - self._pos
 
     def record_error(self, error: float) -> None:
         error = float(error)
         sq = error * error
-        squares = self._squares
-        if len(squares) == squares.maxlen:
-            self._sum -= squares[0]
-        squares.append(sq)
-        self._sum += sq
-        self._pushes += 1
-        if self._pushes == squares.maxlen:
-            self._sum = math.fsum(squares)
-            self._pushes = 0
+        ring = self._ring
+        pos = self._pos
+        self._sum = self._sum - ring[pos] + sq
+        ring[pos] = sq
+        if pos:
+            self._pos = pos - 1
+        else:
+            self._sum = math.fsum(ring)
+            self._full = True
+            self._pos = len(ring) - 1
 
     def rmse(self) -> float:
         """RMSE over the window; 0 while it is empty."""
-        if not self._squares:
-            return 0.0
-        return math.sqrt(max(self._sum, 0.0) / len(self._squares))
+        n = len(self)
+        return math.sqrt(max(self._sum, 0.0) / n) if n else 0.0
 
 
 class NodeStats(SquaredErrorWindow):

@@ -211,6 +211,25 @@ def test_cut_sequence_matches_one_value_at_a_time(check_interval, capacity, step
         assert len(cuts) >= 2
 
 
+@pytest.mark.parametrize("capacity", [2, 3])
+def test_tiny_windows_scan_like_one_value_at_a_time(capacity):
+    # The smallest scans: a width-2 window has one split and a width-3
+    # one has two, then one. No split of three or fewer values can cut,
+    # since eps_cut > 1 there, so these scans pin the edges of the count
+    # tables without a cut; the test above cannot take these capacities,
+    # because it also asks a stepped stream for two cuts.
+    assert min(epsilon_cut(n0, n - n0, n, 0.999) for n in (2, 3) for n0 in range(1, n)) > 1.0
+    rng = make_rng(capacity)
+    det = Adwin(delta=0.1, capacity=capacity, check_interval=1)
+    ref = OneValueAtATime(0.1, capacity, 1)
+    for t in range(200):
+        value = (0.0 if t % 20 < 10 else 1.0) + 0.5 * (rng.random() - 0.5)
+        assert det.add(value) is False
+        assert ref.add(value) is None
+        assert det.contents() == ref.values
+    assert det.n_clamped > 0
+
+
 def test_window_survives_eviction_and_compaction():
     det = Adwin(delta=0.1, capacity=5, check_interval=1)
     values = [0.5 + 0.01 * i for i in range(23)]

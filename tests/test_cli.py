@@ -342,15 +342,13 @@ def test_config_mapping_value_types():
         "seeds": "3",
         "error_scale": "auto",
         "timing": "false",
-        "data": "wine.csv",
-        "target": "quality",
     })
     assert config.drift_times == (10, 20)
     assert config.drift_widths == (1, 2)
     assert config.seeds == (3,)
     assert config.error_scale is None
     assert config.record_timing is False
-    assert config.target == "quality"
+    assert config_from_mapping({"data": "wine.csv", "target": "quality"}).target == "quality"
     assert config_from_mapping({"data": "wine.csv", "target": "-1"}).target == -1
 
 
@@ -358,6 +356,21 @@ def test_config_mapping_value_types():
 def test_config_mapping_rejects_a_target_the_run_ignores(mapping):
     with pytest.raises(_UsageError, match="target"):
         config_from_mapping(mapping)
+
+
+@pytest.mark.parametrize("line", ["length = 5", "dim = 3", "drift_times = 3", "drift_widths = 2",
+                                  "--length"])
+def test_run_rejects_a_stream_shape_a_file_run_ignores(tmp_path, capsys, line):
+    data = tmp_path / "plain.csv"
+    data.write_text("a,y\n0.5,1.0\n")
+    text = f"data = {data}\ntarget = y\ntiming = false\n"
+    if line == "--length":
+        assert main(["run", write_config(tmp_path, text), "--length", "5"]) == 1
+        key = "length"
+    else:
+        assert main(["run", write_config(tmp_path, text + line + "\n")]) == 1
+        key = line.split(" = ")[0]
+    assert f"{key} shape a synthetic stream only" in capsys.readouterr().err
 
 
 def test_config_mapping_unknown_preset():
@@ -401,14 +414,21 @@ EVERY_KEY = {
 
 
 def test_config_mapping_accepts_every_key():
-    config = config_from_mapping({key: text for key, (text, _, _) in EVERY_KEY.items()})
+    # a run reads a synthetic stream or a data file, never both: the
+    # stream-shape keys go into one config, the file keys into the other,
+    # and every other key into both
+    file_keys, shape_keys = ("data", "target"), ("length", "dim", "drift_times", "drift_widths")
     default = ExperimentConfig()
     assert len(EVERY_KEY) == 29
     assert sorted(field for _, field, _ in EVERY_KEY.values()) == sorted(
         f.name for f in fields(ExperimentConfig))
-    for key, (_, field, expected) in EVERY_KEY.items():
-        assert expected != getattr(default, field), key
-        assert getattr(config, field) == expected, key
+    for left_out in (file_keys, shape_keys):
+        config = config_from_mapping({key: text for key, (text, _, _) in EVERY_KEY.items()
+                                      if key not in left_out})
+        for key, (_, field, expected) in EVERY_KEY.items():
+            assert expected != getattr(default, field), key
+            assert getattr(config, field) == (getattr(default, field) if key in left_out
+                                              else expected), key
 
 
 def test_every_sfnr_setting_is_reachable_from_a_config_file():

@@ -14,7 +14,7 @@ from driftnet.ensembles import (
     SfnrConfig,
 )
 from driftnet.learners import ObjectBank, OnlineRegressor, RunningMeanRegressor, SgdBank, SgdLinearRegressor
-from driftnet.network import ExpertNetwork
+from driftnet.network import ExpertNetwork, NodeStats
 from driftnet.prng import make_rng
 from driftnet.streams import Instance
 
@@ -435,6 +435,61 @@ def test_sgd_ensemble_learners_read_the_bank_rows():
     assert sorted(ens.learners) == ens.network.node_ids()
     for v, learner in ens.learners.items():
         assert learner.predict(x) == rows[v]
+
+
+def _count_node_records(ens):
+    """Re-class every node, present and future, to log its ``record_error`` calls.
+
+    ``bench/spans.py`` times the node-error layer the same way, without
+    touching the ensemble; the log holds (node id, error) pairs.
+    """
+    log = []
+    owner = {}
+
+    class CountingNodeStats(NodeStats):
+        __slots__ = ()
+
+        def record_error(self, error):
+            log.append((owner[id(self)], error))
+            NodeStats.record_error(self, error)
+
+    net = ens.network
+
+    def reclass(node_id):
+        net.nodes[node_id].__class__ = CountingNodeStats
+        owner[id(net.nodes[node_id])] = node_id
+
+    for node_id in net.nodes:
+        reclass(node_id)
+    add_node = net.add_node
+
+    def add_node_counted(node_id, *args, **kwargs):
+        add_node(node_id, *args, **kwargs)
+        reclass(node_id)
+
+    net.add_node = add_node_counted
+    return log
+
+
+@pytest.mark.parametrize("prototype", [SgdLinearRegressor(), PassThrough(SgdLinearRegressor())],
+                         ids=["sgd-bank", "object-bank"])
+def test_process_records_each_present_expert_once_in_id_order(prototype):
+    # period mode with a window shorter than the period, so an SGD bank
+    # also trains a trainee row that is not yet an expert
+    cfg = SfnrConfig(mode="period", period=30, buffer_size=10, threshold=0.0, k_max=3,
+                     error_scale=1.0)
+    ens = ScaleFreeRegressor(prototype, cfg, seed=4)
+    log = _count_node_records(ens)
+    for inst in noisy_instances(make_rng(17), 200, dim=3):
+        present = ens.network.node_ids()
+        preds = ens.bank.predict(inst.x)
+        ens.predict(inst.x)
+        assert log == []  # predict records nothing
+        ens.process(inst)
+        assert log == [(v, h - inst.y) for v, h in zip(present, preds)], inst.index
+        log.clear()
+    assert isinstance(ens.bank, SgdBank if type(prototype) is SgdLinearRegressor else ObjectBank)
+    assert len(ens.drift_log) > cfg.k_max  # newcomers arrived and experts left
 
 
 # ---------------------------------------------------------------------------

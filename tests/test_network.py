@@ -7,6 +7,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from driftnet.evaluation import PrequentialWindow
 from driftnet.network import (
     CENTRALITY_METRICS,
     ExpertNetwork,
@@ -193,6 +194,71 @@ def test_node_stats_phi_matches_recomputation():
         errs.append(e)
         expected = math.sqrt(math.fsum(v * v for v in errs) / len(errs))
         assert abs(stats.phi - expected) < 1e-9
+
+
+class DequeWindow:
+    """Reference window: the deque-based squared-error window the ring replaced.
+
+    A literal copy, kept so the ring's every result can be compared for
+    byte equality with the code it stands for.
+    """
+
+    def __init__(self, length):
+        self._squares = deque(maxlen=length)
+        self._sum = 0.0
+        self._pushes = 0
+
+    def __len__(self):
+        return len(self._squares)
+
+    def record_error(self, error):
+        error = float(error)
+        sq = error * error
+        squares = self._squares
+        if len(squares) == squares.maxlen:
+            self._sum -= squares[0]
+        squares.append(sq)
+        self._sum += sq
+        self._pushes += 1
+        if self._pushes == squares.maxlen:
+            self._sum = math.fsum(squares)
+            self._pushes = 0
+
+    def rmse(self):
+        if not self._squares:
+            return 0.0
+        return math.sqrt(max(self._sum, 0.0) / len(self._squares))
+
+
+def _window_errors(length, kind, rng):
+    n = 3 * length + length // 2 + 2  # at least three wraps, ending mid-window
+    if kind == "zero":
+        return [0.0] * n
+    if kind == "tiny":
+        return [1e-150 * float(v) for v in rng.normal(size=n)]
+    if kind == "huge":
+        return [1e150 * float(v) for v in rng.normal(size=n)]
+    # huge errors among ordinary ones, so the running sum loses the
+    # ordinary ones when a huge square leaves the window
+    scale = np.where(rng.random(n) < 0.1, 1e150, 1.0)
+    return [float(s * v) for s, v in zip(scale, rng.normal(size=n))]
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 100])
+@pytest.mark.parametrize("kind", ["zero", "tiny", "huge", "mixed"])
+def test_error_windows_equal_the_deque_window_byte_for_byte(length, kind):
+    errors = _window_errors(length, kind, make_rng(length))
+    # the prequential window sees the same errors as forecast - truth
+    ref_node, ref_score = DequeWindow(length), DequeWindow(length)
+    node, score = NodeStats(window_len=length), PrequentialWindow(length)
+    assert node.phi == score.rmse() == 0.0 and len(node) == len(score) == 0
+    for t, e in enumerate(errors):
+        node.record_error(e)
+        ref_node.record_error(e)
+        ref_score.record_error(e)
+        assert score.update(e, 0.0) == ref_score.rmse(), t
+        assert node.phi == ref_node.rmse(), t
+        assert len(node) == len(ref_node) == len(score) == min(t + 1, length), t
 
 
 # ---------------------------------------------------------------------------

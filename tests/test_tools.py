@@ -1,12 +1,23 @@
-"""The repository's line counter (tools/src_lines.py)."""
+"""The repository's tools: the line counter and the in-process A/B loop."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
-_SPEC = importlib.util.spec_from_file_location("src_lines", _PATH)
-src_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(src_lines)
+import pytest
+
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+src_lines = _load_tool("src_lines")
+ab_loop = _load_tool("ab_loop")
 
 MODULE = '''\
 """Module docstring,
@@ -41,3 +52,27 @@ def test_every_module_of_the_package_is_counted(capsys):
     assert "evaluation.py" in names
     physical, code = (int(v) for v in lines[-1].split()[1:])
     assert physical > code > 0
+
+
+@pytest.mark.parametrize("workload", ["quotes-ema", "period-hyperplane"])
+def test_ab_loop_of_the_checkout_against_itself(capsys, workload):
+    args = [str(ab_loop.SRC), "--workload", workload, "--length", "1500", "--chunk", "400",
+            "--passes", "2"]
+    assert ab_loop.main(args) == 0
+    out = capsys.readouterr().out
+    assert f"{workload} seed 1: 1500 instances x 2 passes, chunks of 400" in out
+    assert "over 8 chunks" in out  # 4 chunks per pass, the last one short
+    assert "forecasts and drift logs identical" in out
+
+
+def test_ab_loop_refuses_trees_whose_forecasts_differ(tmp_path, capsys):
+    tree = tmp_path / "driftnet"
+    shutil.copytree(ab_loop.SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
+    ensembles = tree / "ensembles.py"
+    text = ensembles.read_text(encoding="utf-8")
+    assert text.count("return weighted / weight_total") == 1
+    ensembles.write_text(text.replace("return weighted / weight_total",
+                                      "return weighted / weight_total + 1e-9"), encoding="utf-8")
+    args = [str(tree), "--length", "500", "--chunk", "250", "--passes", "1"]
+    assert ab_loop.main(args) == 1
+    assert "forecasts or drift logs differ" in capsys.readouterr().err

@@ -1,0 +1,185 @@
+"""In-process A/B of two driftnet source trees on the benchmark's workloads.
+
+    python3 tools/ab_loop.py --base HEAD~1                  # a commit of this repository
+    python3 tools/ab_loop.py OTHER/src/driftnet --workload period-hyperplane
+    python3 tools/ab_loop.py --base HEAD~1 --chunk 2000 --passes 3 --length 20000
+
+Side A is the given tree: a path to a ``driftnet`` package directory,
+or ``--base REV``, extracted from this repository with ``git archive``
+into a temporary directory. Side B is this checkout's ``src/driftnet``.
+Every import inside the package is relative, so each tree is imported
+under its own package name and both run in one process.
+
+``bench/workloads.py`` is read, never changed: its source is executed
+once per side with ``driftnet`` bound to that side's tree, so each
+workload's input is made, loaded and modelled through that tree's
+public API. Both sides must load the same instances.
+
+Each pass builds a fresh model and ``PrequentialWindow`` per side, as a
+benchmark pass does, and feeds both the stream in alternating chunks of
+``--chunk`` instances; which side takes a chunk first alternates too.
+Each instance costs ``process`` plus the window's ``update``, as in
+``bench/run.py``. Interleaving puts both sides through the same fast
+and slow phases of the machine, which separate runs do not. Forecasts
+and drift logs must be identical, or the tool exits 1. It prints each
+side's total time, the speedup (A's time over B's) and the quartiles of
+the per-chunk ratio.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import io
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+import types
+from array import array
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "driftnet"
+WORKLOADS_PY = ROOT / "bench" / "workloads.py"
+
+
+def import_tree(path: Path, name: str) -> types.ModuleType:
+    """Import the ``driftnet`` package at ``path`` under the package name ``name``.
+
+    Modules an earlier import left under that name are dropped first.
+    """
+    for stale in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[stale]
+    spec = importlib.util.spec_from_file_location(
+        name, path / "__init__.py", submodule_search_locations=[str(path)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def bind_workloads(tree: types.ModuleType) -> types.ModuleType:
+    """Execute bench/workloads.py with ``driftnet`` bound to ``tree``."""
+    module = types.ModuleType(f"{tree.__name__}_workloads")
+    module.__file__ = str(WORKLOADS_PY)
+    saved = sys.modules.get("driftnet")
+    sys.modules["driftnet"] = tree
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    try:
+        code = compile(WORKLOADS_PY.read_text(encoding="utf-8"), str(WORKLOADS_PY), "exec")
+        exec(code, module.__dict__)
+    finally:
+        if saved is None:
+            del sys.modules["driftnet"]
+        else:
+            sys.modules["driftnet"] = saved
+    return module
+
+
+def extract_rev(rev: str, into: Path) -> Path:
+    """Write ``src/driftnet`` of commit ``rev`` under ``into``; return the package directory."""
+    blob = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src/driftnet"],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(into, filter="data")
+    return into / "src" / "driftnet"
+
+
+class Side:
+    """One tree's workload, and the per-pass model, window and outputs."""
+
+    def __init__(self, tree, workload_name: str, length: int | None, seed: int, workdir: Path):
+        self.tree = tree
+        workload = bind_workloads(tree).WORKLOADS[workload_name]
+        self.workload = workload if length is None else workload.with_length(length)
+        self.seed = seed
+        self.instances = self.workload.load(self.workload.prepare(seed, workdir))[0]
+
+    def start_pass(self) -> None:
+        self.model = self.workload.build_model(self.seed)
+        self.window = self.tree.PrequentialWindow()
+        self.preds = array("d")
+
+    def run(self, lo: int, hi: int) -> int:
+        """Test-then-train instances [lo, hi); return the nanoseconds it took."""
+        process, score, preds = self.model.process, self.window.update, self.preds
+        batch = self.instances[lo:hi]
+        t0 = time.perf_counter_ns()
+        for inst in batch:
+            p = process(inst)
+            score(p, inst.y)
+            preds.append(p)
+        return time.perf_counter_ns() - t0
+
+    def outputs(self):
+        return self.preds.tobytes(), [tuple(vars(e).values()) for e in self.model.drift_log]
+
+
+def same_instances(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(
+        p.index == q.index and p.y == q.y and p.x.tobytes() == q.x.tobytes() for p, q in zip(a, b))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree", nargs="?", type=Path, help="side A's driftnet package directory")
+    parser.add_argument("--base", metavar="REV", help="take side A from this commit instead")
+    parser.add_argument("--workload", default="quotes-ema")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--length", type=int, help="shorten or lengthen the workload's stream")
+    parser.add_argument("--chunk", type=int, default=2000, help="instances per chunk")
+    parser.add_argument("--passes", type=int, default=3)
+    args = parser.parse_args(argv)
+    if (args.tree is None) == (args.base is None):
+        parser.error("give side A as one of: a package path, or --base REV")
+    if args.chunk < 1 or args.passes < 1:
+        parser.error("--chunk and --passes must be positive")
+
+    with tempfile.TemporaryDirectory(prefix="ab_loop-") as tmp:
+        tmp = Path(tmp)
+        try:
+            tree_a = extract_rev(args.base, tmp / "base") if args.base else args.tree.resolve()
+        except subprocess.CalledProcessError as exc:
+            print(f"cannot extract {args.base!r}: {exc.stderr.decode().strip()}", file=sys.stderr)
+            return 1
+        a = Side(import_tree(tree_a, "driftnet_ab_a"), args.workload, args.length, args.seed, tmp / "a")
+        b = Side(import_tree(SRC, "driftnet_ab_b"), args.workload, args.length, args.seed, tmp / "b")
+    if not same_instances(a.instances, b.instances):
+        print("the two trees load different instances", file=sys.stderr)
+        return 1
+
+    n = len(b.instances)
+    total_a = total_b = 0
+    ratios = []
+    for pass_no in range(args.passes):
+        a.start_pass()
+        b.start_pass()
+        for k, lo in enumerate(range(0, n, args.chunk)):
+            hi = min(lo + args.chunk, n)
+            if (pass_no + k) % 2 == 0:
+                ta, tb = a.run(lo, hi), b.run(lo, hi)
+            else:
+                tb, ta = b.run(lo, hi), a.run(lo, hi)
+            total_a += ta
+            total_b += tb
+            ratios.append(ta / tb)
+        if a.outputs() != b.outputs():
+            print(f"pass {pass_no + 1}: forecasts or drift logs differ", file=sys.stderr)
+            return 1
+
+    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    side_a = args.base or str(args.tree)
+    print(f"{args.workload} seed {args.seed}: {n} instances x {args.passes} passes, "
+          f"chunks of {args.chunk}")
+    print(f"  A ({side_a}): {total_a / 1e9:.3f} s   B (checkout): {total_b / 1e9:.3f} s   "
+          f"speedup {total_a / total_b:.3f}x")
+    print(f"  chunk ratio A/B: median {median:.3f} [{q1:.3f}, {q3:.3f}] over {len(ratios)} chunks")
+    print("  forecasts and drift logs identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
