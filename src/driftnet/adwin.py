@@ -35,9 +35,9 @@ itself) and repeats. The cut lands on the first start with no failing
 split, exactly where dropping one value at a time would stop, and
 costs O(width) per pass instead of O(width) per dropped value.
 
-Both passes read the split sizes and their reciprocals as slices of two
-tables built once, counts 0 .. capacity and 1 / count; division is
-correctly rounded, so each entry equals the division it replaces.
+Both passes read the split sizes, their reciprocals and ln(4 n / delta)
+as slices of three tables built once, for counts 0 .. capacity; each
+entry equals the correctly rounded division or ``math.log`` it replaces.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ class Adwin:
         self._buf = np.empty(2 * self.capacity)
         self._head = 0
         self._tail = 0
-        # ln(4 n / delta) for n = 1 .. _n_logged - 1, each computed once
-        self._log_terms = np.empty(self.capacity + 1)
-        self._n_logged = 1
+        # ln(4 n / delta) for window widths n = 1 .. capacity (slot 0 unused)
+        self._log_terms = np.array(
+            [0.0] + [math.log(4.0 * n / self.delta) for n in range(1, self.capacity + 1)])
         # sub-window sizes 0 .. capacity as floats, and their reciprocals (slot 0 unused)
         self._counts = np.arange(self.capacity + 1, dtype=float)
         self._inverses = 1.0 / np.maximum(self._counts, 1.0)
@@ -148,10 +148,6 @@ class Adwin:
     def _shrink(self) -> int:
         """Drop oldest values while any split fails the mean test."""
         n_total = self._tail - self._head
-        if n_total >= self._n_logged:
-            for n in range(self._n_logged, n_total + 1):
-                self._log_terms[n] = math.log(4.0 * n / self.delta)
-            self._n_logged = n_total + 1
         prefix = np.zeros(n_total + 1)
         np.cumsum(self._buf[self._head:self._tail], out=prefix[1:])
         j = 0  # oldest surviving value, as an offset into the window

@@ -27,6 +27,7 @@ from .evaluation import (
     emit_csv,
     run_experiment_detailed,
     _build_instances,
+    _reject_stream_shape,
     _write_lines,
 )
 from .streams import StreamFormatError
@@ -151,6 +152,9 @@ def config_from_mapping(mapping: dict[str, str], full_scale: bool = False) -> Ex
             raise _UsageError(f"bad value for {key!r}: {exc}") from exc
     config = replace(config, **updates)
     try:
+        if config.data_path is not None:
+            # validate cannot tell a written default from an unset field
+            _reject_stream_shape(config, updates.__contains__)
         config.validate()
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc

@@ -22,14 +22,14 @@ capacity), rewires, trains a fresh expert on the recent instance
 buffer, attaches it preferentially, and recomputes all vote weights.
 Vote weights change only at evolutions.
 
-AddExp is the comparison baseline: a weighted expert pool with
-multiplicative weight decay beta^loss and loss-triggered expert
-addition, pruning the weakest expert at capacity.
+AddExp is the comparison baseline: a weighted expert pool, in a bank as
+well, with multiplicative weight decay beta^loss and loss-triggered
+expert addition, pruning the weakest expert at capacity. Both ensembles
+name an expert by the number of drift events logged when it joined.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -39,8 +39,6 @@ from .learners import ObjectBank, OnlineRegressor, expert_bank
 from .network import ExpertNetwork
 from .prng import make_rng
 from .streams import Instance
-
-logger = logging.getLogger(__name__)
 
 _WEIGHT_FLOOR_REL = 1e-12
 
@@ -103,7 +101,7 @@ class SfnrConfig:
 
     ``mode`` picks the evolution trigger; the other mode's parameters
     are simply ignored. ``error_scale`` of None selects the frozen
-    running-max normalizer. ``metric``, ``m_a``, ``delta`` and
+    running-max normalizer. ``metric``, ``k_max``, ``m_a``, ``delta`` and
     ``error_scale`` are checked by the components built from them.
     """
 
@@ -122,9 +120,6 @@ class SfnrConfig:
     def validate(self) -> None:
         if self.mode not in ("period", "adwin"):
             raise ValueError(f"mode must be 'period' or 'adwin', got {self.mode!r}")
-        if self.k_max < 2:
-            raise ValueError(f"k_max must be at least 2, got {self.k_max}: an evolution at "
-                             "capacity retires an expert only beside its replacement")
         if self.buffer_size < 1:
             raise ValueError("buffer_size must be positive")
         if self.mode == "period" and self.period < 1:
@@ -144,7 +139,6 @@ class ScaleFreeRegressor:
         self.rng = make_rng(seed)
         self.network = ExpertNetwork(m_a=self.config.m_a)
         self.bank = expert_bank(prototype, self.config.k_max)
-        self._next_id = 0
         self.buffer: deque[Instance] = deque(maxlen=self.config.buffer_size)
         self.drift_log: list[DriftEvent] = []
         self.instances_seen = 0
@@ -219,8 +213,8 @@ class ScaleFreeRegressor:
     def _trigger(self, diff: float, index: int) -> tuple[list[Instance], DriftEvent] | None:
         """Feed one ensemble error to the evolution trigger.
 
-        Returns the training window and the event when the trigger
-        fires, otherwise None.
+        Returns the training window, never empty as it ends with the
+        current instance, and the event when the trigger fires, else None.
         """
         if self.config.mode == "adwin":
             error = abs(diff)
@@ -246,22 +240,19 @@ class ScaleFreeRegressor:
         return None
 
     def _evolve(self, training_window: list[Instance], event: DriftEvent) -> None:
-        """Replace capacity-worst expert (if at capacity) with a fresh one."""
+        """Log the event and replace capacity-worst expert (if at capacity) with a fresh one."""
+        self.drift_log.append(event)
         if len(self.network) >= self.config.k_max:
             victim = self.network.worst_node()
             self.network.remove_node(victim, self.rng)
             self.bank.remove(victim)
-        if not training_window:
-            logger.warning("evolution at %d with an empty training window; "
-                           "adding an untrained expert", event.index)
         self._add_expert(training_window)
-        self.drift_log.append(event)
 
     def _add_expert(self, training_window: list[Instance]) -> None:
         """Add an expert trained on the window, attach it, and reweigh the vote."""
-        self.bank.add_trained(self._next_id, self.prototype, training_window)
-        self.network.add_node(self._next_id, self.rng)
-        self._next_id += 1
+        expert_id = len(self.drift_log)
+        self.bank.add_trained(expert_id, self.prototype, training_window)
+        self.network.add_node(expert_id, self.rng)
         for node_id, zeta in self.network.centrality(self.config.metric).items():
             self.network.nodes[node_id].zeta = zeta
 
@@ -286,31 +277,30 @@ class AddExpRegressor:
             raise ValueError("beta must lie in (0, 1)")
         if gamma <= 0 or tau <= 0:
             raise ValueError("gamma and tau must be positive")
-        if k_max < 1:
-            raise ValueError(f"k_max must be positive, got {k_max}")
         self.prototype = prototype
         self.beta = beta
         self.gamma = gamma
         self.tau = tau
         self.k_max = k_max
         self.scale = ErrorScale(error_scale)
-        self.experts: list[OnlineRegressor] = [prototype.clone_fresh()]
+        self.bank = expert_bank(prototype, k_max)
+        self.bank.add_trained(0, prototype, ())
         self.weights: list[float] = [1.0]
         self.drift_log: list[DriftEvent] = []
 
     @property
     def size(self) -> int:
-        return len(self.experts)
+        return len(self.weights)
 
     def _vote(self, forecasts) -> float:
         return math.fsum(w * h for w, h in zip(self.weights, forecasts)) / math.fsum(self.weights)
 
     def predict(self, x) -> float:
-        return self._vote(e.predict(x) for e in self.experts)
+        return self._vote(self.bank.predict(x))
 
     def process(self, instance: Instance) -> float:
         x, y = instance.x, instance.y
-        forecasts = [e.predict(x) for e in self.experts]
+        forecasts = self.bank.predict(x)
         prediction = self._vote(forecasts)
         self.scale.observe(abs(prediction - y))
         for i, h in enumerate(forecasts):
@@ -319,15 +309,14 @@ class AddExpRegressor:
         self._guard_weights()
         ensemble_loss = min(self.scale.normalize(prediction - y), 1.0)
         if ensemble_loss > self.tau:
-            if len(self.experts) == self.k_max:
-                weakest = min(range(len(self.weights)), key=lambda i: (self.weights[i], i))
-                del self.experts[weakest]
-                del self.weights[weakest]
-            self.experts.append(self.prototype.clone_fresh())
-            self.weights.append(self.gamma * math.fsum(self.weights))
             self.drift_log.append(DriftEvent(instance.index))
-        for expert in self.experts:
-            expert.update(x, y)
+            if len(self.weights) == self.k_max:
+                weakest = min(range(len(self.weights)), key=lambda i: (self.weights[i], i))
+                self.bank.remove(self.bank.ids[weakest])
+                del self.weights[weakest]
+            self.bank.add_trained(len(self.drift_log), self.prototype, ())
+            self.weights.append(self.gamma * math.fsum(self.weights))
+        self.bank.update(x, y)
         return prediction
 
     def _guard_weights(self) -> None:

@@ -144,12 +144,17 @@ class ExperimentConfig:
                 raise ValueError(f"target {self.target!r} is read only from a data file, "
                                  "and this run reads none")
             check_stream_shape(self.length, self.dim, self.drift_times, self.drift_widths)
-        elif shape := [key for key in ("length", "dim", "drift_times", "drift_widths")
-                       if getattr(self, key) != getattr(ExperimentConfig, key)]:
-            raise ValueError(f"{', '.join(shape)} shape a synthetic stream only, "
-                             f"and this run reads the data file {self.data_path!r}")
+        else:
+            _reject_stream_shape(self, lambda key: getattr(self, key) != getattr(ExperimentConfig, key))
         _build_algorithm(self, self.seeds[0])
         PrequentialWindow(self.window_size)
+
+
+def _reject_stream_shape(config: ExperimentConfig, is_set) -> None:
+    """Raise ValueError if ``is_set`` holds for a synthetic-stream key of a file run."""
+    if shape := [key for key in ("length", "dim", "drift_times", "drift_widths") if is_set(key)]:
+        raise ValueError(f"{', '.join(shape)} shape a synthetic stream only, "
+                         f"and this run reads the data file {config.data_path!r}")
 
 
 def _resolved_error_scale(config: ExperimentConfig) -> float | None:

@@ -510,6 +510,9 @@ def expert_bank(prototype: OnlineRegressor, capacity: int) -> ObjectBank | SgdBa
     Exactly ``SgdLinearRegressor`` gets the array bank; any other
     learner, subclasses included, gets the object loop.
     """
+    if capacity < 2:
+        raise ValueError(f"k_max must be at least 2, got {capacity}: an evolution at "
+                         "capacity retires an expert only beside its replacement")
     if type(prototype) is SgdLinearRegressor:
         return SgdBank(prototype, capacity)
     return ObjectBank()

@@ -121,11 +121,13 @@ def test_run_bad_sfnr_setting_is_usage_error(tmp_path, capsys, monkeypatch, sett
     ("algorithm = addexp\nbeta = 1.5\n", "beta must lie in (0, 1)"),
     ("algorithm = addexp\ngamma = 0\n", "gamma and tau must be positive"),
     ("algorithm = addexp\ntau = -1\n", "gamma and tau must be positive"),
-    ("algorithm = addexp\nkmax = 0\n", "k_max must be positive, got 0"),
+    ("algorithm = addexp\nkmax = 0\n", "k_max must be at least 2, got 0"),
+    ("algorithm = addexp\nkmax = 1\n", "k_max must be at least 2, got 1"),
     ("learner = ema\nema_window = 0\n", "EMA window must be positive, got 0"),
     ("algorithm = addexp\nerror_scale = -1\n", "error_scale must be positive, got -1.0"),
 ], ids=["metric", "delta", "ma", "capacity", "check_interval", "error_scale", "learning_rate",
-        "beta", "gamma", "tau", "kmax-addexp", "ema_window", "error_scale-addexp"])
+        "beta", "gamma", "tau", "kmax-addexp", "kmax-1-addexp", "ema_window",
+        "error_scale-addexp"])
 def test_run_setting_checked_by_its_owner_is_usage_error(tmp_path, capsys, monkeypatch,
                                                          settings, message):
     # each setting is checked once, by the component built from it, before any seed runs
@@ -359,13 +361,17 @@ def test_config_mapping_rejects_a_target_the_run_ignores(mapping):
 
 
 @pytest.mark.parametrize("line", ["length = 5", "dim = 3", "drift_times = 3", "drift_widths = 2",
-                                  "--length"])
+                                  "--length",
+                                  # a written default is rejected too
+                                  "length = 100000", "dim = 10", "drift_times = none",
+                                  "--length 100000"])
 def test_run_rejects_a_stream_shape_a_file_run_ignores(tmp_path, capsys, line):
     data = tmp_path / "plain.csv"
     data.write_text("a,y\n0.5,1.0\n")
     text = f"data = {data}\ntarget = y\ntiming = false\n"
-    if line == "--length":
-        assert main(["run", write_config(tmp_path, text), "--length", "5"]) == 1
+    if line.startswith("--length"):
+        value = line.removeprefix("--length").strip() or "5"
+        assert main(["run", write_config(tmp_path, text), "--length", value]) == 1
         key = "length"
     else:
         assert main(["run", write_config(tmp_path, text + line + "\n")]) == 1

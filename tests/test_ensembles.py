@@ -17,6 +17,7 @@ from driftnet.learners import ObjectBank, OnlineRegressor, RunningMeanRegressor,
 from driftnet.network import ExpertNetwork, NodeStats
 from driftnet.prng import make_rng
 from driftnet.streams import Instance
+from test_learners import _hostile_instance
 
 
 class ConstantLearner(OnlineRegressor):
@@ -567,5 +568,43 @@ def test_addexp_validation():
         AddExpRegressor(ConstantLearner(0.0), beta=1.5)
     with pytest.raises(ValueError):
         AddExpRegressor(ConstantLearner(0.0), gamma=0.0)
-    with pytest.raises(ValueError):
-        AddExpRegressor(ConstantLearner(0.0), k_max=0)
+    # the pool prunes before its newcomer joins, as the network ensemble does
+    for k_max in (0, 1):
+        with pytest.raises(ValueError, match=f"k_max must be at least 2, got {k_max}"):
+            AddExpRegressor(ConstantLearner(0.0), k_max=k_max)
+    AddExpRegressor(ConstantLearner(0.0), k_max=2)
+
+
+@pytest.mark.parametrize("k_max", [2, 3, 10])
+def test_addexp_sgd_bank_matches_the_object_path(k_max):
+    # a wrapped prototype takes the per-object loop; on a stream whose
+    # scale switches hard enough to clip the SGD steps, the array bank's
+    # prune-and-add must give the same bytes
+    bank = AddExpRegressor(SgdLinearRegressor(0.1), k_max=k_max)
+    loop = AddExpRegressor(PassThrough(SgdLinearRegressor(0.1)), k_max=k_max)
+    assert isinstance(bank.bank, SgdBank)
+    assert isinstance(loop.bank, ObjectBank)
+    rng = make_rng(19)
+    stream = [Instance(x=x, y=y, index=t) for t in range(600) for x, y in [_hostile_instance(rng, t)]]
+    for inst in stream:
+        assert bank.process(inst) == loop.process(inst), inst.index
+        assert bank.weights == loop.weights, inst.index
+    assert bank.predict(stream[0].x) == loop.predict(stream[0].x)
+    assert bank.drift_log == loop.drift_log
+    assert len(bank.drift_log) > k_max  # experts were pruned too
+
+
+@pytest.mark.parametrize("prototype", [SgdLinearRegressor(), PassThrough(SgdLinearRegressor())],
+                         ids=["sgd-bank", "object-bank"])
+def test_expert_ids_count_the_drift_events_logged_when_they_joined(prototype):
+    sfnr = ScaleFreeRegressor(prototype, SfnrConfig(mode="period", period=20, threshold=0.0,
+                                                    k_max=3, error_scale=1.0), seed=3)
+    addexp = AddExpRegressor(prototype, k_max=3, error_scale=1.0)
+    for inst in noisy_instances(make_rng(18), 200, dim=3):
+        for model in (sfnr, addexp):
+            model.process(inst)
+            ids = model.bank.ids
+            assert all(0 <= v <= len(model.drift_log) for v in ids)
+            assert ids[-1] == len(model.drift_log)  # the newest expert
+        assert sfnr.bank.ids == sfnr.network.node_ids()
+    assert len(sfnr.drift_log) > 3 and len(addexp.drift_log) > 3

@@ -107,7 +107,8 @@ def test_config_validation():
         with pytest.raises(ValueError):
             _tiny_config(algorithm="sfnr_period", **bad).validate()
     _tiny_config(algorithm="sfnr_adwin", period=0).validate()  # adwin mode has no period
-    _tiny_config(algorithm="addexp", k_max=1).validate()
+    with pytest.raises(ValueError, match="k_max must be at least 2, got 1"):
+        _tiny_config(algorithm="addexp", k_max=1).validate()
     # every other setting is checked by the component built from it
     for algorithm, bad, message in (
             ("sfnr_adwin", dict(metric="katz"), "unknown metric 'katz'"),
@@ -115,7 +116,7 @@ def test_config_validation():
             ("sfnr_adwin", dict(m_a=0), "m_a must be positive"),
             ("sfnr_adwin", dict(adwin_capacity=0), "capacity must be positive"),
             ("sfnr_adwin", dict(error_scale=0.0), "error_scale must be positive"),
-            ("addexp", dict(k_max=0), "k_max must be positive"),
+            ("addexp", dict(k_max=0), "k_max must be at least 2, got 0"),
             ("addexp", dict(tau=0.0), "gamma and tau must be positive"),
             ("single_learner", dict(learning_rate=0.0), "learning_rate must be positive"),
             ("single_learner", dict(learner="ema", ema_window=0), "EMA window must be positive"),
