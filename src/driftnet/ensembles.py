@@ -1,7 +1,7 @@
 """Ensemble regressors over the expert network, plus the AddExp baseline.
 
 The network ensemble holds one online expert per graph node, in an
-expert bank (``learners.expert_bank``), and predicts the
+expert bank (``learners.ExpertBank``), and predicts the
 centrality-weighted mean of the expert forecasts:
 
     H(x) = sum_d zeta_d h_d(x) / sum_k zeta_k
@@ -25,7 +25,9 @@ Vote weights change only at evolutions.
 AddExp is the comparison baseline: a weighted expert pool, in a bank as
 well, with multiplicative weight decay beta^loss and loss-triggered
 expert addition, pruning the weakest expert at capacity. Both ensembles
-name an expert by the number of drift events logged when it joined.
+build ``ExpertBank(prototype, k_max)``, so both hold at most ``k_max``
+experts (at least 2), and both name an expert by the number of drift
+events logged when it joined.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .adwin import Adwin
-from .learners import ObjectBank, OnlineRegressor, expert_bank
+from .learners import ExpertBank, OnlineRegressor
 from .network import ExpertNetwork
 from .prng import make_rng
 from .streams import Instance
@@ -138,7 +140,7 @@ class ScaleFreeRegressor:
         self.prototype = prototype
         self.rng = make_rng(seed)
         self.network = ExpertNetwork(m_a=self.config.m_a)
-        self.bank = expert_bank(prototype, self.config.k_max)
+        self.bank = ExpertBank(prototype, self.config.k_max)
         self.buffer: deque[Instance] = deque(maxlen=self.config.buffer_size)
         self.drift_log: list[DriftEvent] = []
         self.instances_seen = 0
@@ -170,7 +172,10 @@ class ScaleFreeRegressor:
 
     @learners.setter
     def learners(self, learners: dict[int, OnlineRegressor]) -> None:
-        self.bank = ObjectBank(learners)
+        # a bank with no prototype keeps the given objects and never moves them into rows
+        self.bank = ExpertBank(None, self.config.k_max)
+        for expert_id in sorted(learners):
+            self.bank.append(expert_id, learners[expert_id])
 
     def _vote(self, x, y: float | None = None) -> float:
         """Centrality-weighted forecast; given the target ``y``, also record each expert's error."""
@@ -283,7 +288,7 @@ class AddExpRegressor:
         self.tau = tau
         self.k_max = k_max
         self.scale = ErrorScale(error_scale)
-        self.bank = expert_bank(prototype, k_max)
+        self.bank = ExpertBank(prototype, k_max)
         self.bank.add_trained(0, prototype, ())
         self.weights: list[float] = [1.0]
         self.drift_log: list[DriftEvent] = []

@@ -128,8 +128,10 @@ class ExperimentConfig:
         """Raise ValueError for any setting a run would reject.
 
         Settings that belong to a component (the ensemble, detector,
-        graph, learner or error window) are checked by building what one
-        seed builds, so each is checked once, by its owner.
+        graph, learner or error window) are checked by their owners:
+        first by building what one seed of this run builds, then every
+        other algorithm and learner with the same settings, so a value
+        the run does not read is still checked.
         """
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
@@ -146,7 +148,11 @@ class ExperimentConfig:
             check_stream_shape(self.length, self.dim, self.drift_times, self.drift_widths)
         else:
             _reject_stream_shape(self, lambda key: getattr(self, key) != getattr(ExperimentConfig, key))
-        _build_algorithm(self, self.seeds[0])
+        for algorithm in dict.fromkeys((self.algorithm, *ALGORITHMS)):
+            _build_algorithm(replace(self, algorithm=algorithm), self.seeds[0])
+        for learner in LEARNERS:
+            if learner != self.learner:
+                _build_prototype(replace(self, learner=learner))
         PrequentialWindow(self.window_size)
 
 

@@ -11,13 +11,12 @@ Inputs are checked once, where the stream enters, not by each expert:
 ``x`` must be a finite 1-D float64 array and ``y`` a finite float, as
 every ``streams.Instance`` holds. Only SGD guards the dimension, since
 numpy would silently broadcast a length-1 ``x``: the scalar learner in
-its own ``predict`` and ``update``, and ``SgdBank`` once per call for
+its own ``predict`` and ``update``, and ``ExpertBank`` once per call for
 all of its rows.
 
-An ensemble holds its experts in a bank (``expert_bank``): ``SgdBank``
-keeps the experts of a plain ``SgdLinearRegressor`` prototype as rows of
-arrays and steps them together; ``ObjectBank`` loops over learner
-objects for every other prototype.
+An ensemble holds its experts in an ``ExpertBank``: learner objects, one
+call per expert, until a plain ``SgdLinearRegressor`` prototype's second
+expert joins; from then on rows of arrays, stepped together.
 """
 
 from __future__ import annotations
@@ -196,54 +195,18 @@ class RunningMeanRegressor(OnlineRegressor):
         return RunningMeanRegressor()
 
 
-class ObjectBank:
-    """An ensemble's experts as learner objects, one call per expert.
+class ExpertBank:
+    """An ensemble's experts, at most ``capacity`` of them, in ascending id order.
 
     ``ids`` is ascending, the order of ``ExpertNetwork.node_ids()``;
-    ``predict`` returns the forecasts in that order. Works for any
-    ``OnlineRegressor``.
-    """
-
-    def __init__(self, learners: dict[int, OnlineRegressor] | None = None):
-        self.ids: list[int] = []
-        self._learners: list[OnlineRegressor] = []
-        for expert_id in sorted(learners or {}):
-            self.append(expert_id, learners[expert_id])
-
-    def append(self, expert_id: int, learner: OnlineRegressor) -> None:
-        _check_new_id(self.ids, expert_id)
-        self.ids.append(expert_id)
-        self._learners.append(learner)
-
-    def remove(self, expert_id: int) -> None:
-        i = self.ids.index(expert_id)
-        del self.ids[i]
-        del self._learners[i]
-
-    def predict(self, x) -> list[float]:
-        return [learner.predict(x) for learner in self._learners]
-
-    def update(self, x, y: float) -> None:
-        for learner in self._learners:
-            learner.update(x, y)
-
-    def learners(self) -> dict[int, OnlineRegressor]:
-        """The experts by id; these are the live objects."""
-        return dict(zip(self.ids, self._learners))
-
-    def open_trainee(self) -> None:
-        """No-op: an object bank trains a newcomer only when it joins."""
-
-    def drop_trainee(self) -> None:
-        """No-op: an object bank holds no trainee."""
-
-    def add_trained(self, expert_id: int, prototype: OnlineRegressor, window) -> None:
-        """Add a fresh ``prototype`` clone warm-started on the instances of ``window``."""
-        self.append(expert_id, warm_start(prototype, window))
-
-
-class SgdBank:
-    """The experts of an ``SgdLinearRegressor`` ensemble as rows of arrays.
+    ``predict`` returns the forecasts in that order. The experts are
+    learner objects, one call per expert, until a bank whose prototype
+    is exactly ``SgdLinearRegressor`` gets its second expert; from then
+    on they are rows of arrays, for good. The experts of any other
+    prototype, subclasses and wrappers included, or of a bank with no
+    prototype stay objects. On one row the array step costs about twice
+    the scalar one, and an ensemble that never evolves keeps one expert
+    for the whole stream.
 
     Row i holds expert ``ids[i]``: its weights and Welford mean, M2 and
     inverse standard deviation (k x d), its bias and its update count
@@ -252,17 +215,10 @@ class SgdBank:
     stays byte-equal to the learner it stands for. Every step is
     elementwise except the dot products, and ``np.vecdot`` calls the
     same BLAS dot per row as ``w @ x``; a sum over ``W * xs`` would
-    round differently.
-
-    A bank of one expert is that scalar learner itself: on one row the
-    array step costs about twice the scalar one, and an ensemble that
-    never evolves keeps one expert for the whole stream. Rows take over
-    when a second expert joins and keep the experts from then on: an
-    ensemble is back to one expert only at ``k_max = 2``, between a
-    removal and the addition that follows it. Buffers hold
-    ``capacity + 1`` rows and are allocated on the first trained row or
-    the first update on rows, since d is unknown before. The dimension
-    is checked once per call for all rows.
+    round differently. Buffers hold ``capacity + 1`` rows and are
+    allocated on the first trained row or the first update on rows,
+    since d is unknown before. The dimension is checked once per call
+    for all rows.
 
     The extra row holds the trainee, a newcomer that learns its
     warm-start window while the window arrives. ``open_trainee`` starts
@@ -270,16 +226,19 @@ class SgdBank:
     in the same step as them; ``predict`` and ``learners`` never see it.
     ``add_trained`` makes it the next expert with no replay, and
     ``drop_trainee`` discards it; ``remove`` shifts it down with the
-    rows above the victim. The scalar learner of a bank of one opens no
-    trainee, so there ``add_trained`` warm-starts a learner on the
-    window instead.
+    rows above the victim. Objects open no trainee, so there
+    ``add_trained`` warm-starts a learner on the window instead.
     """
 
-    def __init__(self, prototype: SgdLinearRegressor, capacity: int):
-        self.learning_rate = prototype.learning_rate
+    def __init__(self, prototype: OnlineRegressor | None, capacity: int):
+        if capacity < 2:
+            raise ValueError(f"k_max must be at least 2, got {capacity}: an evolution at "
+                             "capacity retires an expert only beside its replacement")
         self.capacity = capacity
         self.ids: list[int] = []
-        self._single: SgdLinearRegressor | None = None  # the expert while there is one
+        self._objects: list[OnlineRegressor] | None = []  # None once the experts are rows
+        # the rows' learning rate; None for a bank whose experts stay objects
+        self.learning_rate = prototype.learning_rate if type(prototype) is SgdLinearRegressor else None
         self._trainee = False  # row len(ids) trains a newcomer
         self._d: int | None = None
         self._untrained = False  # some row has count 0 (its next update keeps inv_std)
@@ -318,27 +277,29 @@ class SgdBank:
             raise ValueError(f"feature dimension changed: expected {self._d}, got {x.shape}")
 
     def _check_room(self, expert_id: int) -> None:
-        _check_new_id(self.ids, expert_id)
+        if self.ids and expert_id <= self.ids[-1]:
+            raise ValueError(f"expert ids must be appended in increasing order: "
+                             f"{expert_id} after {self.ids[-1]}")
         if len(self.ids) == self.capacity:
             raise ValueError(f"bank is full at {self.capacity} experts")
 
-    def append(self, expert_id: int, learner: SgdLinearRegressor) -> None:
+    def append(self, expert_id: int, learner: OnlineRegressor) -> None:
         """Add ``learner`` as the last expert; the bank owns it from now on.
 
-        A bank of one keeps the learner; beyond one, its state is copied
-        into a row.
+        On rows, and for the second expert of an SGD bank, its state is
+        copied into a row; otherwise the bank keeps the learner.
         """
         self._check_room(expert_id)
         if self._trainee:
             raise ValueError("a trainee holds the next row; add it or drop it first")
         k = len(self.ids)
-        if k == 0:
-            self._single = learner
-        else:
-            if self._single is not None:
-                self._write_row(0, self._single)
-                self._single = None
+        if k == 1 and self._objects is not None and self.learning_rate is not None:
+            self._write_row(0, self._objects[0])  # the second SGD expert: into rows
+            self._objects = None
+        if self._objects is None:
             self._write_row(k, learner)
+        else:
+            self._objects.append(learner)
         self.ids.append(expert_id)
         self._view()
 
@@ -370,19 +331,19 @@ class SgdBank:
         i = self.ids.index(expert_id)
         top = len(self.ids) + self._trainee
         del self.ids[i]
-        if self._single is not None:
-            self._single = None
+        if self._objects is not None:
+            del self._objects[i]
         elif self._d is not None:
             for a in (self._w, self._bias, self._mean, self._m2, self._inv_std, self._count):
                 a[i:top - 1] = a[i + 1:top]
         self._view()
 
     def open_trainee(self) -> None:
-        """Start an untrained newcomer above the experts; a scalar learner opens none.
+        """Start an untrained newcomer above the rows; objects open none.
 
         Opening again restarts the trainee.
         """
-        if self._single is not None or not self.ids:
+        if self._objects is not None:
             return
         self._trainee = True
         self._clear_row(len(self.ids))
@@ -394,7 +355,7 @@ class SgdBank:
             self._trainee = False
             self._view()
 
-    def add_trained(self, expert_id: int, prototype: SgdLinearRegressor, window) -> None:
+    def add_trained(self, expert_id: int, prototype: OnlineRegressor, window) -> None:
         """Add a newcomer trained on the instances of ``window``.
 
         A pending trainee has seen exactly those instances and becomes
@@ -414,8 +375,8 @@ class SgdBank:
         self._view()
 
     def predict(self, x) -> list[float]:
-        if self._single is not None:
-            return [self._single.predict(x)]
+        if self._objects is not None:
+            return [learner.predict(x) for learner in self._objects]
         if self._d is None:
             return [0.0] * len(self.ids)
         self._check(x)
@@ -427,8 +388,9 @@ class SgdBank:
         return g.tolist()
 
     def update(self, x, y: float) -> None:
-        if self._single is not None:
-            self._single.update(x, y)
+        if self._objects is not None:
+            for learner in self._objects:
+                learner.update(x, y)
             return
         if self._d is None:
             self._allocate(x.shape[0])
@@ -471,10 +433,10 @@ class SgdBank:
         w -= xs
         bias -= g
 
-    def learners(self) -> dict[int, SgdLinearRegressor]:
-        """The experts by id: the single learner, or copies of the rows."""
-        if self._single is not None:
-            return {self.ids[0]: self._single}
+    def learners(self) -> dict[int, OnlineRegressor]:
+        """The experts by id: the live objects, or copies of the rows."""
+        if self._objects is not None:
+            return dict(zip(self.ids, self._objects))
         return {expert_id: self._learner(i) for i, expert_id in enumerate(self.ids)}
 
     def _learner(self, i: int) -> SgdLinearRegressor:
@@ -497,22 +459,3 @@ def warm_start(prototype: OnlineRegressor, window) -> OnlineRegressor:
     for inst in window:
         learner.update(inst.x, inst.y)
     return learner
-
-
-def _check_new_id(ids: list[int], expert_id: int) -> None:
-    if ids and expert_id <= ids[-1]:
-        raise ValueError(f"expert ids must be appended in increasing order: {expert_id} after {ids[-1]}")
-
-
-def expert_bank(prototype: OnlineRegressor, capacity: int) -> ObjectBank | SgdBank:
-    """Empty bank for an ensemble of ``prototype`` clones, at most ``capacity`` of them.
-
-    Exactly ``SgdLinearRegressor`` gets the array bank; any other
-    learner, subclasses included, gets the object loop.
-    """
-    if capacity < 2:
-        raise ValueError(f"k_max must be at least 2, got {capacity}: an evolution at "
-                         "capacity retires an expert only beside its replacement")
-    if type(prototype) is SgdLinearRegressor:
-        return SgdBank(prototype, capacity)
-    return ObjectBank()

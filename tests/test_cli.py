@@ -125,9 +125,14 @@ def test_run_bad_sfnr_setting_is_usage_error(tmp_path, capsys, monkeypatch, sett
     ("algorithm = addexp\nkmax = 1\n", "k_max must be at least 2, got 1"),
     ("learner = ema\nema_window = 0\n", "EMA window must be positive, got 0"),
     ("algorithm = addexp\nerror_scale = -1\n", "error_scale must be positive, got -1.0"),
+    # settings the run does not read: the run's own model reports first
+    ("learner = ema\nperiod = 0\nthreshold = -1\nlearning_rate = -5\nbeta = 7\n",
+     "period must be positive"),
+    ("algorithm = sfnr_period\ncapacity = 0\ncheck_interval = 0\nema_window = 0\n",
+     "capacity must be positive"),
 ], ids=["metric", "delta", "ma", "capacity", "check_interval", "error_scale", "learning_rate",
         "beta", "gamma", "tau", "kmax-addexp", "kmax-1-addexp", "ema_window",
-        "error_scale-addexp"])
+        "error_scale-addexp", "unread-by-adwin-ema", "unread-by-period"])
 def test_run_setting_checked_by_its_owner_is_usage_error(tmp_path, capsys, monkeypatch,
                                                          settings, message):
     # each setting is checked once, by the component built from it, before any seed runs

@@ -13,7 +13,7 @@ from driftnet.ensembles import (
     ScaleFreeRegressor,
     SfnrConfig,
 )
-from driftnet.learners import ObjectBank, OnlineRegressor, RunningMeanRegressor, SgdBank, SgdLinearRegressor
+from driftnet.learners import ExpertBank, OnlineRegressor, RunningMeanRegressor, SgdLinearRegressor
 from driftnet.network import ExpertNetwork, NodeStats
 from driftnet.prng import make_rng
 from driftnet.streams import Instance
@@ -344,6 +344,12 @@ def test_process_returns_pretrain_forecast():
     assert ens.predict(inst.x) == 5.0
 
 
+def _assert_bank_storage(model, plain_sgd):
+    # one rule for every bank: a plain-SGD bank holds its experts as rows
+    # once it has two, and any other bank holds learner objects throughout
+    assert (model.bank._objects is None) == (plain_sgd and model.size >= 2)
+
+
 def switching_stream(rng, n, every, dim=3):
     # the target's weights flip sign every ``every`` instances
     w = np.array([0.8, -0.3, 0.4])
@@ -372,8 +378,6 @@ def test_sgd_bank_matches_the_object_path(case, monkeypatch):
     reassign_at = cfg.pop("reassign_at", None)
     bank = ScaleFreeRegressor(SgdLinearRegressor(0.01), SfnrConfig(**cfg), seed=5)
     loop = ScaleFreeRegressor(PassThrough(SgdLinearRegressor(0.01)), SfnrConfig(**cfg), seed=5)
-    assert isinstance(bank.bank, SgdBank)
-    assert isinstance(loop.bank, ObjectBank)
     stream = switching_stream(make_rng(14), 3000, 1000)
     warm_starts = []
     warm_start = learners_module.warm_start
@@ -387,6 +391,8 @@ def test_sgd_bank_matches_the_object_path(case, monkeypatch):
             if inst.index == reassign_at:
                 model.learners = model.learners
             out.append(model.process(inst))
+            # the setter's bank holds the SGD experts as objects
+            _assert_bank_storage(model, model is bank and (reassign_at is None or inst.index < reassign_at))
             if cfg["mode"] == "period" and (inst.index + 1) % cfg["period"] == 0:
                 # every period end promotes or drops the trainee
                 assert not getattr(model.bank, "_trainee", False)
@@ -416,8 +422,8 @@ def test_sgd_bank_guards_the_dimension_once_per_call(monkeypatch):
         ens.process(inst)
     assert ens.size == 3
     checks = []
-    check = SgdBank._check
-    monkeypatch.setattr(SgdBank, "_check", lambda bank, x: (checks.append(x), check(bank, x)))
+    check = ExpertBank._check
+    monkeypatch.setattr(ExpertBank, "_check", lambda bank, x: (checks.append(x), check(bank, x)))
     x = np.array([0.2, 0.5, 0.9])
     ens.process(Instance(x=x, y=0.3, index=60))
     assert len(checks) == 2  # one predict and one update for all three rows
@@ -489,7 +495,7 @@ def test_process_records_each_present_expert_once_in_id_order(prototype):
         ens.process(inst)
         assert log == [(v, h - inst.y) for v, h in zip(present, preds)], inst.index
         log.clear()
-    assert isinstance(ens.bank, SgdBank if type(prototype) is SgdLinearRegressor else ObjectBank)
+        _assert_bank_storage(ens, type(prototype) is SgdLinearRegressor)
     assert len(ens.drift_log) > cfg.k_max  # newcomers arrived and experts left
 
 
@@ -582,13 +588,13 @@ def test_addexp_sgd_bank_matches_the_object_path(k_max):
     # prune-and-add must give the same bytes
     bank = AddExpRegressor(SgdLinearRegressor(0.1), k_max=k_max)
     loop = AddExpRegressor(PassThrough(SgdLinearRegressor(0.1)), k_max=k_max)
-    assert isinstance(bank.bank, SgdBank)
-    assert isinstance(loop.bank, ObjectBank)
     rng = make_rng(19)
     stream = [Instance(x=x, y=y, index=t) for t in range(600) for x, y in [_hostile_instance(rng, t)]]
     for inst in stream:
         assert bank.process(inst) == loop.process(inst), inst.index
         assert bank.weights == loop.weights, inst.index
+        _assert_bank_storage(bank, True)
+        _assert_bank_storage(loop, False)
     assert bank.predict(stream[0].x) == loop.predict(stream[0].x)
     assert bank.drift_log == loop.drift_log
     assert len(bank.drift_log) > k_max  # experts were pruned too

@@ -102,11 +102,15 @@ def test_config_validation():
         _tiny_config(seeds=()).validate()
     with pytest.raises(ValueError):
         _tiny_config(drift_times=(10,)).validate()
-    # the ensemble's own settings are checked with the run's, for sfnr runs only
+    # the ensemble's own settings are checked with the run's
     for bad in (dict(k_max=1), dict(buffer_size=0), dict(period=0)):
         with pytest.raises(ValueError):
             _tiny_config(algorithm="sfnr_period", **bad).validate()
-    _tiny_config(algorithm="sfnr_adwin", period=0).validate()  # adwin mode has no period
+    # a setting the run does not read is still checked by its owner, and
+    # a valid one is accepted
+    with pytest.raises(ValueError, match="period must be positive"):
+        _tiny_config(algorithm="sfnr_adwin", period=0).validate()
+    _tiny_config(algorithm="sfnr_adwin", period=500).validate()
     with pytest.raises(ValueError, match="k_max must be at least 2, got 1"):
         _tiny_config(algorithm="addexp", k_max=1).validate()
     # every other setting is checked by the component built from it

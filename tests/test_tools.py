@@ -62,6 +62,8 @@ def test_ab_loop_of_the_checkout_against_itself(capsys, workload):
     out = capsys.readouterr().out
     assert f"{workload} seed 1: 1500 instances x 2 passes, chunks of 400" in out
     assert "over 8 chunks" in out  # 4 chunks per pass, the last one short
+    assert f"B ({ab_loop.SRC})" in out
+    assert "(A and B are the same tree)" in out
     assert "forecasts and drift logs identical" in out
 
 

@@ -22,8 +22,9 @@ Each instance costs ``process`` plus the window's ``update``, as in
 ``bench/run.py``. Interleaving puts both sides through the same fast
 and slow phases of the machine, which separate runs do not. Forecasts
 and drift logs must be identical, or the tool exits 1. It prints each
-side's total time, the speedup (A's time over B's) and the quartiles of
-the per-chunk ratio.
+side's path and total time, the speedup (A's time over B's) and the
+quartiles of the per-chunk ratio, and notes when A and B resolve to the
+same tree, which measures only the noise of the machine.
 """
 
 from __future__ import annotations
@@ -174,8 +175,10 @@ def main(argv=None) -> int:
     side_a = args.base or str(args.tree)
     print(f"{args.workload} seed {args.seed}: {n} instances x {args.passes} passes, "
           f"chunks of {args.chunk}")
-    print(f"  A ({side_a}): {total_a / 1e9:.3f} s   B (checkout): {total_b / 1e9:.3f} s   "
+    print(f"  A ({side_a}): {total_a / 1e9:.3f} s   B ({SRC}): {total_b / 1e9:.3f} s   "
           f"speedup {total_a / total_b:.3f}x")
+    if tree_a == SRC:
+        print("  (A and B are the same tree)")
     print(f"  chunk ratio A/B: median {median:.3f} [{q1:.3f}, {q3:.3f}] over {len(ratios)} chunks")
     print("  forecasts and drift logs identical")
     return 0
