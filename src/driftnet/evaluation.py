@@ -31,6 +31,7 @@ from .prng import derive_seed
 from .streams import (
     DriftStreamSpec,
     Instance,
+    StreamFormatError,
     check_stream_shape,
     generate_drift_stream,
     make_hyperplane_concept,
@@ -146,6 +147,8 @@ class ExperimentConfig:
                 raise ValueError(f"target {self.target!r} is read only from a data file, "
                                  "and this run reads none")
             check_stream_shape(self.length, self.dim, self.drift_times, self.drift_widths)
+            if self.length == 0:
+                raise ValueError("length = 0 makes an empty stream")
         else:
             _reject_stream_shape(self, lambda key: getattr(self, key) != getattr(ExperimentConfig, key))
         for algorithm in dict.fromkeys((self.algorithm, *ALGORITHMS)):
@@ -173,16 +176,18 @@ def _resolved_error_scale(config: ExperimentConfig) -> float | None:
     return None
 
 
-def _parse_data_file(config: ExperimentConfig) -> list[Instance]:
-    with open(config.data_path, "r", encoding="utf-8") as fh:
-        if config.target is None:
-            return parse_yahoo_csv(fh)
-        return parse_regression_csv(fh, config.target)
-
-
 def _build_instances(config: ExperimentConfig, seed: int):
+    """The run's stream: a data file's instances, the same for every seed, or a generator.
+
+    A data file with no data rows is a StreamFormatError that names it.
+    """
     if config.data_path is not None:
-        return _parse_data_file(config)
+        with open(config.data_path, "r", encoding="utf-8") as fh:
+            target = config.target
+            instances = parse_yahoo_csv(fh) if target is None else parse_regression_csv(fh, target)
+        if not instances:
+            raise StreamFormatError(f"data file {config.data_path!r} holds no data rows")
+        return instances
     concepts = tuple(
         make_hyperplane_concept(derive_seed(seed, 1 + j), config.dim)
         for j in range(len(config.drift_times) + 1)
@@ -283,7 +288,7 @@ def run_experiment_detailed(config: ExperimentConfig, max_workers: int = 1
             per_seed = {seed: futures[seed].result() for seed in seeds}
     else:
         # a file stream does not depend on the seed: parse it once
-        parsed = _parse_data_file(config) if config.data_path is not None else None
+        parsed = _build_instances(config, seeds[0]) if config.data_path is not None else None
         per_seed = {seed: _run_single_seed(config, seed, parsed) for seed in seeds}
     rows: list[ResultRow] = []
     drift_entries: list[tuple[str, int, int]] = []

@@ -11,7 +11,12 @@ transition is (W = 1 is effectively abrupt).
 File ingestion covers two layouts: the Yahoo historical-quote CSV
 (Date, Open, High, Low, Close, Volume, Adj Close) where Close is the
 prediction target, and generic rectangular numeric CSVs with a caller-
-nominated target column.
+nominated target column. Both read their rows through one reader,
+which skips only blank lines (an empty line, or one whitespace cell)
+and numbers every row by its physical line, and both turn cells into
+numbers under one rule: a row of the wrong width, or a cell that is
+not a finite number, is a StreamFormatError naming its line. A row of
+empty cells is not blank, so it is such an error too.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ import io
 import math
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, dropwhile
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -194,14 +201,34 @@ def generate_drift_stream(spec: DriftStreamSpec) -> Iterator[Instance]:
         yield Instance(x=x, y=y, index=t)
 
 
-def _as_lines(source) -> Iterable[str]:
-    if isinstance(source, str):
-        return io.StringIO(source)
-    return source
+def _rows(source, delimiter: str | None) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) for every row of ``source`` that is not blank.
+
+    ``source`` is CSV text or any iterable of lines. A blank row is an
+    empty line or a single whitespace cell; a row of empty cells is not
+    blank, and fails where its cells are read. With no ``delimiter``
+    the first non-blank line picks one; the lines before it are blank
+    in any delimiter, so the reader starts there.
+    """
+    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    # enumerate reads no line ahead, so ``lines`` goes on after the first non-blank one
+    start, first = next(dropwhile(lambda pair: not pair[1].strip(), enumerate(lines, 1)), (1, ""))
+    # UCI-style files are often semicolon-separated; prefer whichever
+    # separator actually splits the first line.
+    delimiter = delimiter or (";" if first.count(";") > first.count(",") else ",")
+    for lineno, cells in enumerate(csv.reader(chain([first], lines), delimiter=delimiter), start):
+        if cells and (len(cells) > 1 or cells[0].strip()):
+            yield lineno, cells
 
 
 def _row_values(cells: list[str], names: Sequence, lineno: int) -> list[float]:
-    """The cells as floats; the first one that is not a finite number names its line and column."""
+    """The cells as floats, one per name.
+
+    A row of the wrong width, or the first cell that is not a finite
+    number, is a StreamFormatError naming its line (and column).
+    """
+    if len(cells) != len(names):
+        raise StreamFormatError(f"line {lineno}: expected {len(names)} fields, got {len(cells)}")
     try:
         values = list(map(float, cells))
         if math.isfinite(sum(values)):  # any nan or inf cell; a finite overflow is kept below
@@ -227,20 +254,14 @@ def parse_yahoo_csv(source) -> list[Instance]:
     Adj Close) and target y = Close. The date itself is used only for
     ordering. A nan or infinite cell is a StreamFormatError.
     """
-    reader = csv.reader(_as_lines(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        return []
+    rows = _rows(source, ",")
+    lineno, header = next(rows, (1, YAHOO_HEADER))  # an empty file has no rows to read
     if tuple(h.strip() for h in header) != YAHOO_HEADER:
-        raise StreamFormatError(
-            "line 1: expected header " + ",".join(YAHOO_HEADER) + f", got {','.join(header)!r}"
-        )
+        raise StreamFormatError(f"line {lineno}: expected header {','.join(YAHOO_HEADER)}, "
+                                f"got {','.join(header)!r}")
     names = YAHOO_HEADER[1:]
     parsed: list[tuple[date, list[float], float]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    for lineno, row in rows:
         if len(row) != 7:
             raise StreamFormatError(f"line {lineno}: expected 7 fields, got {len(row)}")
         try:
@@ -249,72 +270,54 @@ def parse_yahoo_csv(source) -> list[Instance]:
             raise StreamFormatError(f"line {lineno}: bad date {row[0]!r}: {exc}") from None
         opn, high, low, close, volume, adj = _row_values(row[1:], names, lineno)
         parsed.append((day, [opn, high, low, volume, adj], close))
-    parsed.sort(key=lambda item: item[0])
-    return [
-        Instance(x=np.array(feats, dtype=float), y=target, index=i)
-        for i, (_, feats, target) in enumerate(parsed)
-    ]
-
-
-def _detect_delimiter(line: str) -> str:
-    # UCI-style files are often semicolon-separated; prefer whichever
-    # separator actually splits the first line.
-    if line.count(";") > line.count(","):
-        return ";"
-    return ","
+    parsed.sort(key=itemgetter(0))
+    return [Instance(x=np.array(feats, dtype=float), y=target, index=i)
+            for i, (_, feats, target) in enumerate(parsed)]
 
 
 def parse_regression_csv(source, target_column) -> list[Instance]:
     """Parse a rectangular numeric CSV with a nominated target column.
 
     ``target_column`` is either a column index (int) or a header name
-    (str; requires a header row). A header is assumed present when any
-    cell of the first row fails to parse as a number. All remaining
-    columns become features in file order. A nan or infinite cell is a
+    (str; requires a header row). The first non-blank row is a header
+    when any of its cells fails to parse as a number, and it sets the
+    delimiter (';' or ',') and the width. All remaining columns become
+    features in file order. A nan or infinite cell is a
     StreamFormatError.
     """
-    lines = [ln for ln in _as_lines(source)]
-    delim = _detect_delimiter(next((ln for ln in lines if ln.strip()), ""))
-    numbered = [
-        (lineno, row)
-        for lineno, row in enumerate(csv.reader(lines, delimiter=delim), start=1)
-        if row and any(cell.strip() for cell in row)
-    ]
-    if not numbered:
+    rows = _rows(source, None)
+    lineno, first = next(rows, (1, None))
+    if first is None:
         return []
 
     header: list[str] | None = None
     try:
-        list(map(float, numbered[0][1]))
+        list(map(float, first))
+        rows = chain([(lineno, first)], rows)
     except ValueError:
-        header = [h.strip() for h in numbered[0][1]]
-        numbered = numbered[1:]
+        header = [h.strip() for h in first]
+        if not any(header):
+            raise StreamFormatError(f"line {lineno}: a header row of empty cells") from None
 
     if isinstance(target_column, str):
         if header is None:
-            raise StreamFormatError(
-                f"target column {target_column!r} given by name but the file has no header"
-            )
-        try:
-            target_idx = header.index(target_column)
-        except ValueError:
-            raise StreamFormatError(
-                f"target column {target_column!r} not in header {header}"
-            ) from None
+            raise StreamFormatError(f"target column {target_column!r} given by name "
+                                    "but the file has no header")
+        if target_column not in header:
+            raise StreamFormatError(f"target column {target_column!r} not in header {header}")
+        target_idx = header.index(target_column)
     else:
         target_idx = int(target_column)
 
-    n_cols = len(header) if header is not None else len(numbered[0][1]) if numbered else 0
-    if n_cols and -n_cols <= target_idx < 0:
+    n_cols = len(first)
+    if -n_cols <= target_idx < 0:
         target_idx += n_cols
-    if n_cols and not 0 <= target_idx < n_cols:
+    if not 0 <= target_idx < n_cols:
         raise StreamFormatError(f"target column index {target_idx} out of range for {n_cols} columns")
 
     names = header or range(n_cols)
     instances: list[Instance] = []
-    for lineno, row in numbered:
-        if len(row) != n_cols:
-            raise StreamFormatError(f"line {lineno}: expected {n_cols} fields, got {len(row)}")
+    for lineno, row in rows:
         values = _row_values(row, names, lineno)
         y = values.pop(target_idx)
         instances.append(Instance(x=np.array(values, dtype=float), y=y, index=len(instances)))

@@ -205,6 +205,35 @@ def test_run_pool_is_no_larger_than_the_seed_list(tmp_path, monkeypatch):
     assert pooled.read_bytes() == serial.read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"], ids=["serial", "pool"])
+@pytest.mark.parametrize("text, settings", [
+    ("Date,Open,High,Low,Close,Volume,Adj Close\n", "learner = ema\n"),
+    ("x,y\n", "target = y\n"),
+], ids=["quotes", "numeric"])
+def test_run_of_a_file_with_no_data_rows_is_runtime_error(tmp_path, capsys, monkeypatch,
+                                                          workers, text, settings):
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    data = tmp_path / "header-only.csv"
+    data.write_text(text)
+    cfg = write_config(tmp_path, f"data = {data}\nseeds = 1,2\ntiming = false\n" + settings)
+    assert main(["run", cfg, "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert f"data file {str(data)!r} holds no data rows" in captured.err
+    assert captured.out == ""
+    assert _RecordingPool.sizes == ([] if workers == "1" else [2])
+
+
+def test_run_of_length_zero_is_usage_error(tmp_path, capsys, monkeypatch):
+    def no_seed_runs(*args):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(evaluation, "_run_single_seed", no_seed_runs)
+    cfg = write_config(tmp_path, BASIC)
+    assert main(["run", cfg, "--length", "0"]) == 1
+    assert "length = 0 makes an empty stream" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workers", ["0", "-4"])
 def test_run_workers_below_one_is_usage_error(tmp_path, capsys, monkeypatch, workers):
     monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _RecordingPool)
@@ -275,6 +304,13 @@ def test_gen_to_stdout(capsys):
 
 def test_gen_mismatched_drift_args_rejected(capsys):
     assert main(["gen", "--length", "10", "--drift-times", "5"]) == 1
+
+
+def test_gen_of_length_zero_is_usage_error(capsys):
+    assert main(["gen", "--length", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "length = 0 makes an empty stream" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flags", [

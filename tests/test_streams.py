@@ -290,6 +290,80 @@ def test_csv_empty_input():
     assert parse_regression_csv(io.StringIO(""), 0) == []
 
 
+def test_csv_opening_with_blank_lines_keeps_its_delimiter_and_line_numbers():
+    text = '\n   \n"a";"b";"y"\n1;2;3\n'
+    instances = parse_regression_csv(io.StringIO(text), "y")
+    assert instances[0].x.tolist() == [1.0, 2.0]
+    assert instances[0].y == 3.0
+    with pytest.raises(StreamFormatError) as exc:
+        parse_regression_csv(io.StringIO(text + "1;x;3\n"), "y")
+    assert str(exc.value) == "line 5: non-numeric cell 'x' in column 'b'"
+
+
+def test_csv_header_row_of_empty_cells_names_its_line():
+    with pytest.raises(StreamFormatError) as exc:
+        parse_regression_csv(io.StringIO("\n,,\n1,2,3\n"), 2)
+    assert str(exc.value) == "line 2: a header row of empty cells"
+
+
+def test_yahoo_header_after_blank_lines_is_read_at_its_line():
+    assert len(parse_yahoo_csv(io.StringIO("\n \n" + YAHOO_TEXT))) == 3
+    with pytest.raises(StreamFormatError) as exc:
+        parse_yahoo_csv(io.StringIO("\n" + YAHOO_TEXT.replace("Low,Close", "Close,Low")))
+    assert str(exc.value).startswith("line 2: expected header")
+
+
+# ---------------------------------------------------------------------------
+# Both layouts read their rows under one blank-line rule and one cell rule.
+# ---------------------------------------------------------------------------
+
+# layout: (parser, header, a good row, a row whose second cell is not a number)
+LAYOUTS = {
+    "quotes": (parse_yahoo_csv, ",".join(YAHOO_HEADER),
+               "2014-01-02,1,2,3,4,5,6", "2014-01-03,x,2,3,4,5,6"),
+    "numeric": (lambda source: parse_regression_csv(source, "y"), "a,b,y",
+                "1,2,3", "1,x,3"),
+}
+
+
+def _parse(layout, *lines):
+    return LAYOUTS[layout][0](io.StringIO("".join(line + "\n" for line in lines)))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("blank", ["", "   ", "\t"], ids=["empty", "spaces", "tab"])
+def test_blank_lines_leave_line_numbers_physical(layout, blank):
+    _, header, good, bad = LAYOUTS[layout]
+    assert len(_parse(layout, header, blank, good, blank, good)) == 2
+    with pytest.raises(StreamFormatError) as exc:
+        _parse(layout, header, good, blank, blank, bad)
+    assert str(exc.value).startswith("line 5: non-numeric cell 'x' in column ")
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_row_of_empty_cells_names_its_line(layout):
+    _, header, good, _ = LAYOUTS[layout]
+    with pytest.raises(StreamFormatError) as exc:
+        _parse(layout, header, good, "," * good.count(","), good)
+    assert str(exc.value).startswith("line 3: ") and "''" in str(exc.value)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("extra", [",9", ",9,9"])
+def test_field_count_message(layout, extra):
+    _, header, good, _ = LAYOUTS[layout]
+    width = good.count(",") + 1
+    with pytest.raises(StreamFormatError) as exc:
+        _parse(layout, header, good, good + extra)
+    assert str(exc.value) == f"line 3: expected {width} fields, got {width + extra.count(',')}"
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("lines", [(), ("", "  ")], ids=["empty", "blank-lines"])
+def test_empty_input_reads_no_instances(layout, lines):
+    assert _parse(layout, *lines) == []
+
+
 # ---------------------------------------------------------------------------
 # Non-finite cells are rejected where the stream enters.
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The repository's tools: the line counter and the in-process A/B loop."""
 
 import importlib.util
+import re
 import shutil
 from pathlib import Path
 
@@ -64,6 +65,8 @@ def test_ab_loop_of_the_checkout_against_itself(capsys, workload):
     assert "over 8 chunks" in out  # 4 chunks per pass, the last one short
     assert f"B ({ab_loop.SRC})" in out
     assert "(A and B are the same tree)" in out
+    assert re.search(r"^  set-up: A \d+\.\d{3} s   B \d+\.\d{3} s   speedup \d+\.\d{3}x "
+                     r"over 2 loads each$", out, re.MULTILINE)
     assert "forecasts and drift logs identical" in out
 
 
@@ -78,3 +81,16 @@ def test_ab_loop_refuses_trees_whose_forecasts_differ(tmp_path, capsys):
     args = [str(tree), "--length", "500", "--chunk", "250", "--passes", "1"]
     assert ab_loop.main(args) == 1
     assert "forecasts or drift logs differ" in capsys.readouterr().err
+
+
+def test_ab_loop_refuses_trees_that_load_different_instances(tmp_path, capsys):
+    tree = tmp_path / "driftnet"
+    shutil.copytree(ab_loop.SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
+    streams = tree / "streams.py"
+    text = streams.read_text(encoding="utf-8")
+    assert text.count("y=target, index=i") == 1
+    streams.write_text(text.replace("y=target, index=i", "y=target + 1.0, index=i"),
+                       encoding="utf-8")
+    args = [str(tree), "--length", "500", "--chunk", "250", "--passes", "1"]
+    assert ab_loop.main(args) == 1
+    assert "pass 1: the two trees load different instances" in capsys.readouterr().err

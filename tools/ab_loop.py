@@ -13,23 +13,30 @@ under its own package name and both run in one process.
 ``bench/workloads.py`` is read, never changed: its source is executed
 once per side with ``driftnet`` bound to that side's tree, so each
 workload's input is made, loaded and modelled through that tree's
-public API. Both sides must load the same instances.
+public API. Each side's input is made and loaded once, untimed.
 
-Each pass builds a fresh model and ``PrequentialWindow`` per side, as a
-benchmark pass does, and feeds both the stream in alternating chunks of
-``--chunk`` instances; which side takes a chunk first alternates too.
-Each instance costs ``process`` plus the window's ``update``, as in
-``bench/run.py``. Interleaving puts both sides through the same fast
-and slow phases of the machine, which separate runs do not. Forecasts
-and drift logs must be identical, or the tool exits 1. It prints each
-side's path and total time, the speedup (A's time over B's) and the
-quartiles of the per-chunk ratio, and notes when A and B resolve to the
-same tree, which measures only the noise of the machine.
+Each pass first sets up both sides, as a benchmark pass does: each
+side drops its instances and collects garbage, then its ``load`` turns
+its input into instances, timed. Which side loads first alternates from
+pass to pass. Both sides must load the same instances on every pass,
+or the tool exits 1. The pass then builds a fresh model and
+``PrequentialWindow`` per side and feeds both the stream in alternating
+chunks of ``--chunk`` instances; which side takes a chunk first
+alternates too. Each instance costs ``process`` plus the
+window's ``update``, as in ``bench/run.py``. Interleaving puts both
+sides through the same fast and slow phases of the machine, which
+separate runs do not. Forecasts and drift logs must be identical, or
+the tool exits 1. It prints each side's path and total loop time, the
+speedup (A's time over B's) and the quartiles of the per-chunk ratio,
+then the total set-up time of each side and its speedup, and notes when
+A and B resolve to the same tree, which measures only the noise of the
+machine.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import io
 import statistics
@@ -97,7 +104,16 @@ class Side:
         workload = bind_workloads(tree).WORKLOADS[workload_name]
         self.workload = workload if length is None else workload.with_length(length)
         self.seed = seed
-        self.instances = self.workload.load(self.workload.prepare(seed, workdir))[0]
+        self.source = self.workload.prepare(seed, workdir)
+        self.load()  # untimed, so that the other side's instances are live at every timed load
+
+    def load(self) -> int:
+        """Set up the instances from the input; return the nanoseconds it took."""
+        self.instances = None  # the last pass's instances go before the clock starts
+        gc.collect()
+        t0 = time.perf_counter_ns()
+        self.instances = self.workload.load(self.source)[0]
+        return time.perf_counter_ns() - t0
 
     def start_pass(self) -> None:
         self.model = self.workload.build_model(self.seed)
@@ -148,14 +164,24 @@ def main(argv=None) -> int:
             return 1
         a = Side(import_tree(tree_a, "driftnet_ab_a"), args.workload, args.length, args.seed, tmp / "a")
         b = Side(import_tree(SRC, "driftnet_ab_b"), args.workload, args.length, args.seed, tmp / "b")
-    if not same_instances(a.instances, b.instances):
-        print("the two trees load different instances", file=sys.stderr)
-        return 1
+        return compare(a, b, args, tree_a)
 
-    n = len(b.instances)
-    total_a = total_b = 0
+
+def compare(a: Side, b: Side, args, tree_a: Path) -> int:
+    """Run ``args.passes`` passes of set-up and loop on both sides; print the report."""
+    setup_a = setup_b = total_a = total_b = 0
     ratios = []
     for pass_no in range(args.passes):
+        if pass_no % 2 == 0:
+            sa, sb = a.load(), b.load()
+        else:
+            sb, sa = b.load(), a.load()
+        setup_a += sa
+        setup_b += sb
+        if not same_instances(a.instances, b.instances):
+            print(f"pass {pass_no + 1}: the two trees load different instances", file=sys.stderr)
+            return 1
+        n = len(b.instances)
         a.start_pass()
         b.start_pass()
         for k, lo in enumerate(range(0, n, args.chunk)):
@@ -180,6 +206,8 @@ def main(argv=None) -> int:
     if tree_a == SRC:
         print("  (A and B are the same tree)")
     print(f"  chunk ratio A/B: median {median:.3f} [{q1:.3f}, {q3:.3f}] over {len(ratios)} chunks")
+    print(f"  set-up: A {setup_a / 1e9:.3f} s   B {setup_b / 1e9:.3f} s   "
+          f"speedup {setup_a / setup_b:.3f}x over {args.passes} loads each")
     print("  forecasts and drift logs identical")
     return 0
 
