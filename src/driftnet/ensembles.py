@@ -103,8 +103,10 @@ class SfnrConfig:
 
     ``mode`` picks the evolution trigger; the other mode's parameters
     are simply ignored. ``error_scale`` of None selects the frozen
-    running-max normalizer. ``metric``, ``k_max``, ``m_a``, ``delta`` and
-    ``error_scale`` are checked by the components built from them.
+    running-max normalizer, which skips the first instance's error: it
+    is the untrained seed's forecast. ``metric``, ``k_max``, ``m_a``,
+    ``delta`` and ``error_scale`` are checked by the components built
+    from them.
     """
 
     metric: str = "eigenvector"
@@ -223,7 +225,8 @@ class ScaleFreeRegressor:
         """
         if self.config.mode == "adwin":
             error = abs(diff)
-            self.scale.observe(error)
+            if self.detector.n_added:  # the first error is the untrained seed's forecast
+                self.scale.observe(error)
             if not self.detector.add(self.scale.normalize(error)):
                 return None
             width_before, width_after = self.detector.last_cut

@@ -15,8 +15,9 @@ its own ``predict`` and ``update``, and ``ExpertBank`` once per call for
 all of its rows.
 
 An ensemble holds its experts in an ``ExpertBank``: learner objects, one
-call per expert, until a plain ``SgdLinearRegressor`` prototype's second
-expert joins; from then on rows of arrays, stepped together.
+call per expert, until a plain ``SgdLinearRegressor`` bank holds two or
+more and one of them is trained; from then on rows of arrays, stepped
+together.
 """
 
 from __future__ import annotations
@@ -201,8 +202,9 @@ class ExpertBank:
     ``ids`` is ascending, the order of ``ExpertNetwork.node_ids()``;
     ``predict`` returns the forecasts in that order. The experts are
     learner objects, one call per expert, until a bank whose prototype
-    is exactly ``SgdLinearRegressor`` gets its second expert; from then
-    on they are rows of arrays, for good. The experts of any other
+    is exactly ``SgdLinearRegressor`` is left with two or more by an
+    ``append`` while one of them, held or joining, is trained; from
+    then on they are rows of arrays, for good. The experts of any other
     prototype, subclasses and wrappers included, or of a bank with no
     prototype stay objects. On one row the array step costs about twice
     the scalar one, and an ensemble that never evolves keeps one expert
@@ -216,9 +218,9 @@ class ExpertBank:
     elementwise except the dot products, and ``np.vecdot`` calls the
     same BLAS dot per row as ``w @ x``; a sum over ``W * xs`` would
     round differently. Buffers hold ``capacity + 1`` rows and are
-    allocated on the first trained row or the first update on rows,
-    since d is unknown before. The dimension is checked once per call
-    for all rows.
+    allocated once, at the move into rows, from the trained expert's
+    dimension. The dimension is checked once per call for all rows, and
+    once per learner written into a row.
 
     The extra row holds the trainee, a newcomer that learns its
     warm-start window while the window arrives. ``open_trainee`` starts
@@ -240,12 +242,16 @@ class ExpertBank:
         # the rows' learning rate; None for a bank whose experts stay objects
         self.learning_rate = prototype.learning_rate if type(prototype) is SgdLinearRegressor else None
         self._trainee = False  # row len(ids) trains a newcomer
-        self._d: int | None = None
-        self._untrained = False  # some row has count 0 (its next update keeps inv_std)
 
-    def _allocate(self, d: int) -> None:
+    def _into_rows(self, joining: SgdLinearRegressor) -> None:
+        # the one allocation: the held experts move into rows once one of
+        # them, or the one joining, is trained and so gives d
+        experts = (*self._objects, joining)
+        trained = next((e for e in experts if e.n_updates), None)
+        if trained is None:
+            return
         c = self.capacity + 1  # a full bank and its trainee
-        self._d = d
+        self._d = d = trained.weights.shape[0]
         self._w = np.zeros((c, d))
         self._mean = np.zeros((c, d))
         self._m2 = np.zeros((c, d))
@@ -256,14 +262,14 @@ class ExpertBank:
         self._tmp = np.empty((c, d))
         self._g = np.empty(c)
         self._s = np.empty(c)
-        self._untrained = True
-        self._view()
+        self._untrained = False  # some row has count 0 (its next update keeps inv_std)
+        for i, learner in enumerate(experts):
+            self._write_row(i, learner)
+        self._objects = None
 
     def _view(self) -> None:
         # row views of the k experts (predict) and of them plus a pending
         # trainee (update), rebuilt when either changes
-        if self._d is None:
-            return
         k = len(self.ids)
         self._live = (self._w[:k], self._bias[:k], self._mean[:k], self._inv_std[:k],
                       self._xs[:k], self._g[:k])
@@ -286,30 +292,27 @@ class ExpertBank:
     def append(self, expert_id: int, learner: OnlineRegressor) -> None:
         """Add ``learner`` as the last expert; the bank owns it from now on.
 
-        On rows, and for the second expert of an SGD bank, its state is
-        copied into a row; otherwise the bank keeps the learner.
+        An SGD bank joined by a second or later expert while one of its
+        experts, held or joining, is trained moves into rows; on rows the
+        learner's state is copied into a row, otherwise the bank keeps it.
         """
         self._check_room(expert_id)
         if self._trainee:
             raise ValueError("a trainee holds the next row; add it or drop it first")
         k = len(self.ids)
-        if k == 1 and self._objects is not None and self.learning_rate is not None:
-            self._write_row(0, self._objects[0])  # the second SGD expert: into rows
-            self._objects = None
         if self._objects is None:
             self._write_row(k, learner)
-        else:
-            self._objects.append(learner)
+        elif k and self.learning_rate is not None:
+            self._into_rows(learner)
         self.ids.append(expert_id)
-        self._view()
+        if self._objects is not None:
+            self._objects.append(learner)
+        else:
+            self._view()
 
     def _write_row(self, i: int, learner: SgdLinearRegressor) -> None:
         if learner.n_updates:
-            d = learner.weights.shape[0]
-            if self._d is None:
-                self._allocate(d)
-            elif d != self._d:
-                raise ValueError(f"feature dimension changed: expected {self._d}, got {(d,)}")
+            self._check(learner.weights)
             self._w[i] = learner.weights
             self._bias[i] = learner.bias
             self._mean[i] = learner._mean
@@ -320,11 +323,10 @@ class ExpertBank:
             self._clear_row(i)
 
     def _clear_row(self, i: int) -> None:
-        # an untrained learner's state; unallocated buffers start that way
-        if self._d is not None:
-            self._w[i] = self._bias[i] = self._mean[i] = self._m2[i] = self._count[i] = 0.0
-            self._inv_std[i] = 1.0
-            self._untrained = True
+        # an untrained learner's state
+        self._w[i] = self._bias[i] = self._mean[i] = self._m2[i] = self._count[i] = 0.0
+        self._inv_std[i] = 1.0
+        self._untrained = True
 
     def remove(self, expert_id: int) -> None:
         """Drop the expert; the rows above its row, a trainee's too, shift down one."""
@@ -333,9 +335,9 @@ class ExpertBank:
         del self.ids[i]
         if self._objects is not None:
             del self._objects[i]
-        elif self._d is not None:
-            for a in (self._w, self._bias, self._mean, self._m2, self._inv_std, self._count):
-                a[i:top - 1] = a[i + 1:top]
+            return
+        for a in (self._w, self._bias, self._mean, self._m2, self._inv_std, self._count):
+            a[i:top - 1] = a[i + 1:top]
         self._view()
 
     def open_trainee(self) -> None:
@@ -367,7 +369,7 @@ class ExpertBank:
             return
         self._check_room(expert_id)
         k = len(self.ids)
-        seen = int(self._count[k]) if self._d is not None else 0
+        seen = int(self._count[k])
         if seen != len(window):
             raise ValueError(f"the trainee saw {seen} instances but the window holds {len(window)}")
         self._trainee = False
@@ -377,8 +379,6 @@ class ExpertBank:
     def predict(self, x) -> list[float]:
         if self._objects is not None:
             return [learner.predict(x) for learner in self._objects]
-        if self._d is None:
-            return [0.0] * len(self.ids)
         self._check(x)
         w, bias, mean, inv_std, xs, g = self._live
         np.subtract(x, mean, out=xs)
@@ -392,10 +392,7 @@ class ExpertBank:
             for learner in self._objects:
                 learner.update(x, y)
             return
-        if self._d is None:
-            self._allocate(x.shape[0])
-        else:
-            self._check(x)
+        self._check(x)
         w, bias, mean, m2, inv_std, n, n_col, xs, tmp, g, g_col, s = self._rows
         n += 1.0
         np.subtract(x, mean, out=tmp)  # delta
@@ -441,7 +438,7 @@ class ExpertBank:
 
     def _learner(self, i: int) -> SgdLinearRegressor:
         learner = SgdLinearRegressor(self.learning_rate)
-        if self._d is None or self._count[i] == 0:
+        if self._count[i] == 0:
             return learner
         learner.n_updates = int(self._count[i])
         learner.weights = self._w[i].copy()

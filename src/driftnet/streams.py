@@ -280,9 +280,9 @@ def parse_regression_csv(source, target_column) -> list[Instance]:
 
     ``target_column`` is either a column index (int) or a header name
     (str; requires a header row). The first non-blank row is a header
-    when any of its cells fails to parse as a number, and it sets the
-    delimiter (';' or ',') and the width. All remaining columns become
-    features in file order. A nan or infinite cell is a
+    when any of its non-empty cells fails to parse as a number, and it
+    sets the delimiter (';' or ',') and the width. All remaining
+    columns become features in file order. A nan or infinite cell is a
     StreamFormatError.
     """
     rows = _rows(source, None)
@@ -291,13 +291,11 @@ def parse_regression_csv(source, target_column) -> list[Instance]:
         return []
 
     header: list[str] | None = None
-    try:
-        list(map(float, first))
+    try:  # an empty cell is a missing value, not a name
+        list(map(float, filter(str.strip, first)))
         rows = chain([(lineno, first)], rows)
     except ValueError:
         header = [h.strip() for h in first]
-        if not any(header):
-            raise StreamFormatError(f"line {lineno}: a header row of empty cells") from None
 
     if isinstance(target_column, str):
         if header is None:

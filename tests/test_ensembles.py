@@ -13,7 +13,8 @@ from driftnet.ensembles import (
     ScaleFreeRegressor,
     SfnrConfig,
 )
-from driftnet.learners import ExpertBank, OnlineRegressor, RunningMeanRegressor, SgdLinearRegressor
+from driftnet.learners import (EmaForecaster, ExpertBank, OnlineRegressor, RunningMeanRegressor,
+                               SgdLinearRegressor)
 from driftnet.network import ExpertNetwork, NodeStats
 from driftnet.prng import make_rng
 from driftnet.streams import Instance
@@ -275,6 +276,25 @@ def test_adwin_mode_detects_after_an_all_zero_warmup():
     assert ens.drift_log[0].index >= 600
 
 
+def test_adwin_mode_scale_skips_the_untrained_seeds_first_forecast():
+    # an EMA seed forecasts 0 against a price near 100 on the first
+    # instance; were that error in the running max, the scale would freeze
+    # near 100 and a volatility switch could never reach the detector
+    rng = make_rng(20)
+    price, stream = 100.0, []
+    for i in range(6000):
+        price += float(rng.normal()) * (0.5 if i < 3000 else 4.0)
+        stream.append(Instance(x=np.zeros(1), y=price, index=i))
+    ens = ScaleFreeRegressor(EmaForecaster(5), SfnrConfig(mode="adwin"), seed=1)
+    ens.process(stream[0])
+    assert ens.scale.scale == 0.0
+    assert ens.detector.contents() == [0.0]  # the detector still sees the instance
+    for inst in stream[1:]:
+        ens.process(inst)
+    assert ens.scale.scale < 10.0
+    assert ens.drift_log and all(event.index >= 3000 for event in ens.drift_log)
+
+
 def linear_drift_stream(rng, n, t_drift, dim=3):
     w_old = np.array([0.8, -0.3, 0.4])
     w_new = np.array([-0.5, 0.6, -0.2])
@@ -345,9 +365,16 @@ def test_process_returns_pretrain_forecast():
 
 
 def _assert_bank_storage(model, plain_sgd):
-    # one rule for every bank: a plain-SGD bank holds its experts as rows
-    # once it has two, and any other bank holds learner objects throughout
-    assert (model.bank._objects is None) == (plain_sgd and model.size >= 2)
+    # one rule for every bank: a plain-SGD bank moves its experts into rows
+    # when an expert joins while one of them is trained, and any other bank
+    # holds learner objects throughout. SFNR's second expert always joins a
+    # trained seed; AddExp's instance-0 newcomer joins an untrained seed, so
+    # both stay objects until the next addition.
+    if isinstance(model, AddExpRegressor):
+        rows = any(event.index > 0 for event in model.drift_log)
+    else:
+        rows = model.size >= 2
+    assert (model.bank._objects is None) == (plain_sgd and rows)
 
 
 def switching_stream(rng, n, every, dim=3):
@@ -595,6 +622,7 @@ def test_addexp_sgd_bank_matches_the_object_path(k_max):
         assert bank.weights == loop.weights, inst.index
         _assert_bank_storage(bank, True)
         _assert_bank_storage(loop, False)
+    assert bank.drift_log[0] == DriftEvent(0)  # the pool was two objects after instance 0
     assert bank.predict(stream[0].x) == loop.predict(stream[0].x)
     assert bank.drift_log == loop.drift_log
     assert len(bank.drift_log) > k_max  # experts were pruned too

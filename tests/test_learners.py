@@ -197,9 +197,18 @@ def test_sgd_bank_is_byte_identical_to_scalar_learners(k_max):
 
 
 def test_sgd_bank_rejects_a_changed_dimension_and_a_full_bank():
+    # a trained seed puts both experts on rows, so the bank's own checks run
+    seed = SgdLinearRegressor()
+    seed.update(np.array([1.0, 2.0]), 1.0)
+    wide = SgdLinearRegressor()
+    wide.update(np.zeros(3), 1.0)
     bank = ExpertBank(SgdLinearRegressor(), 2)
-    bank.append(0, SgdLinearRegressor())
+    bank.append(0, seed)
+    with pytest.raises(ValueError, match=r"feature dimension changed: expected 2, got \(3,\)"):
+        bank.append(1, wide)
+    assert bank.ids == [0]  # the failed move leaves the seed an object
     bank.append(1, SgdLinearRegressor())
+    assert bank._objects is None
     bank.update(np.array([1.0, 2.0]), 1.0)
     for x in (np.array([1.0]), np.zeros(3)):
         with pytest.raises(ValueError, match="feature dimension changed"):
@@ -215,6 +224,34 @@ def test_sgd_bank_rejects_a_changed_dimension_and_a_full_bank():
     with pytest.raises(ValueError, match="bank is full at 2 experts"):
         objects.append(2, EmaForecaster())
     assert objects.ids == [0, 1]
+
+
+def test_sgd_bank_moves_into_rows_when_a_trained_expert_can_size_them():
+    # untrained experts give no dimension, so two of them stay objects; a
+    # third joining after an update moves all three into rows
+    rng = make_rng(49)
+    bank = ExpertBank(SgdLinearRegressor(0.1), 4)
+    ref = {0: SgdLinearRegressor(0.1), 1: SgdLinearRegressor(0.1)}
+    bank.append(0, SgdLinearRegressor(0.1))
+    bank.append(1, SgdLinearRegressor(0.1))
+    assert bank._objects is not None
+    x, y = _hostile_instance(rng, 0)
+    _assert_bank_matches(bank, ref, x)
+    for t in range(40):
+        bank.update(x, y)
+        for learner in ref.values():
+            learner.update(x, y)
+        x, y = _hostile_instance(rng, t + 1)
+    bank.append(2, SgdLinearRegressor(0.1))
+    ref[2] = SgdLinearRegressor(0.1)
+    assert bank._objects is None
+    for t in range(40, 80):
+        _assert_bank_matches(bank, ref, x)
+        bank.update(x, y)
+        for learner in ref.values():
+            learner.update(x, y)
+        x, y = _hostile_instance(rng, t + 1)
+    _assert_bank_matches(bank, ref, x)
 
 
 def _assert_same_learner(a, b):

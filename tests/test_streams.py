@@ -300,10 +300,20 @@ def test_csv_opening_with_blank_lines_keeps_its_delimiter_and_line_numbers():
     assert str(exc.value) == "line 5: non-numeric cell 'x' in column 'b'"
 
 
-def test_csv_header_row_of_empty_cells_names_its_line():
+def test_csv_first_row_of_empty_cells_names_its_line():
+    # empty cells never make a header, so such a row is read as data
     with pytest.raises(StreamFormatError) as exc:
         parse_regression_csv(io.StringIO("\n,,\n1,2,3\n"), 2)
-    assert str(exc.value) == "line 2: a header row of empty cells"
+    assert str(exc.value) == "line 2: non-numeric cell '' in column 0"
+
+
+def test_csv_missing_value_in_the_first_row_is_not_a_header():
+    with pytest.raises(StreamFormatError) as exc:
+        parse_regression_csv(io.StringIO("1,,3\n4,5,6\n"), 2)
+    assert str(exc.value) == "line 1: non-numeric cell '' in column 1"
+    # a cell that is not a number still makes the row a header
+    instances = parse_regression_csv(io.StringIO("1,x,3\n4,5,6\n"), 2)
+    assert [(inst.x.tolist(), inst.y) for inst in instances] == [([4.0, 5.0], 6.0)]
 
 
 def test_yahoo_header_after_blank_lines_is_read_at_its_line():

@@ -70,6 +70,14 @@ def test_ab_loop_of_the_checkout_against_itself(capsys, workload):
     assert "forecasts and drift logs identical" in out
 
 
+def test_ab_loop_given_a_path_that_is_not_a_package_is_a_usage_error(tmp_path, capsys):
+    for path in (ab_loop.ROOT, tmp_path / "missing"):
+        with pytest.raises(SystemExit) as exc:
+            ab_loop.main([str(path)])
+        assert exc.value.code == 2
+        assert f"{path} is not a package directory: it has no __init__.py" in capsys.readouterr().err
+
+
 def test_ab_loop_refuses_trees_whose_forecasts_differ(tmp_path, capsys):
     tree = tmp_path / "driftnet"
     shutil.copytree(ab_loop.SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))

@@ -154,6 +154,8 @@ def main(argv=None) -> int:
         parser.error("give side A as one of: a package path, or --base REV")
     if args.chunk < 1 or args.passes < 1:
         parser.error("--chunk and --passes must be positive")
+    if args.tree is not None and not (args.tree / "__init__.py").is_file():
+        parser.error(f"{args.tree} is not a package directory: it has no __init__.py")
 
     with tempfile.TemporaryDirectory(prefix="ab_loop-") as tmp:
         tmp = Path(tmp)
