@@ -11,12 +11,22 @@ transition is (W = 1 is effectively abrupt).
 File ingestion covers two layouts: the Yahoo historical-quote CSV
 (Date, Open, High, Low, Close, Volume, Adj Close) where Close is the
 prediction target, and generic rectangular numeric CSVs with a caller-
-nominated target column. Both read their rows through one reader,
-which skips only blank lines (an empty line, or one whitespace cell)
-and numbers every row by its physical line, and both turn cells into
-numbers under one rule: a row of the wrong width, or a cell that is
-not a finite number, is a StreamFormatError naming its line. A row of
-empty cells is not blank, so it is such an error too.
+nominated target column. Both skip only blank lines (an empty line,
+or one whitespace cell) and number every row by its physical line,
+and both turn cells into numbers under one rule: a row of the wrong
+width, or a cell that is not a finite number, is a StreamFormatError
+naming its line. A row of empty cells is not blank, so it is such an
+error too.
+
+Both read their numbers in bulk: one ``np.loadtxt`` over the data
+lines, after a check that every line is as wide as the first row. Where
+that step cannot read a file (a quoted cell, ``1_000``, a carriage
+return, an empty or non-finite cell, a line of another width), the
+file is read again by the line-by-line reader, which alone writes the
+error messages, so each one still names its line and column. The
+generator, likewise, draws and computes blocks of instances at once,
+with the same draws in the same order as one instance at a time.
+Either way an instance's ``x`` is a row view of one float64 array.
 """
 
 from __future__ import annotations
@@ -26,8 +36,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import chain, dropwhile
-from operator import itemgetter
+from itertools import chain, islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -176,6 +185,9 @@ def sigmoid_mix_probability(t: int, t0: int, width: int) -> float:
     return ez / (1.0 + ez)
 
 
+_CHUNK = 8192  # instances drawn per block, so a stream of any length stays lazy
+
+
 def generate_drift_stream(spec: DriftStreamSpec) -> Iterator[Instance]:
     """Generate the stream described by ``spec``.
 
@@ -185,38 +197,49 @@ def generate_drift_stream(spec: DriftStreamSpec) -> Iterator[Instance]:
     of generator draws per instance is fixed, so output is bitwise
     reproducible from ``spec.seed`` alone. Instances are finite by
     construction (x in the unit cube, y within the half diagonal).
+
+    The draws come in blocks of up to 8,192 instances, one row of d
+    features and then one value per drift point each, which is the
+    order an instance-by-instance loop draws them in; every ``x`` is a
+    row view of its block.
     """
     rng = make_rng(spec.seed)
     d = spec.dim
-    n_drifts = len(spec.drift_times)
+    drifts = tuple(zip(spec.drift_times, spec.drift_widths))
+    w = np.array([concept.w for concept in spec.concepts])
+    c = np.array([concept.c for concept in spec.concepts])
     bound = math.sqrt(d) / 2.0  # |w.(x-c)| <= ||x-c|| <= half the cube diagonal
-    for t in range(spec.length):
-        x = rng.random(d)
-        active = 0
-        for j in range(n_drifts):
-            if rng.random() < sigmoid_mix_probability(t, spec.drift_times[j], spec.drift_widths[j]):
-                active = j + 1
-        y = hyperplane_target(spec.concepts[active], x)
-        assert y <= bound, "target exceeded the half-diagonal bound"
-        yield Instance(x=x, y=y, index=t)
+    for start in range(0, spec.length, _CHUNK):
+        times = range(start, min(start + _CHUNK, spec.length))
+        draws = rng.random(len(times) * (d + len(drifts))).reshape(len(times), -1)
+        x = draws[:, :d]
+        active = np.zeros(len(times), dtype=np.intp)
+        for j, (t0, width) in enumerate(drifts, 1):
+            active[draws[:, d + j - 1] < [sigmoid_mix_probability(t, t0, width) for t in times]] = j
+        y = np.abs(np.vecdot(w[active], x - c[active]))
+        assert (y <= bound).all(), "target exceeded the half-diagonal bound"
+        yield from map(Instance, x, y.tolist(), times)
 
 
-def _rows(source, delimiter: str | None) -> Iterator[tuple[int, list[str]]]:
-    """(line number, cells) for every row of ``source`` that is not blank.
+def _lines(source) -> list[str]:
+    """The physical lines of ``source``, each with its line end.
 
-    ``source`` is CSV text or any iterable of lines. A blank row is an
-    empty line or a single whitespace cell; a row of empty cells is not
-    blank, and fails where its cells are read. With no ``delimiter``
-    the first non-blank line picks one; the lines before it are blank
-    in any delimiter, so the reader starts there.
+    CSV text is split after every newline; any other iterable of lines
+    (an open file works) is taken line by line as it comes.
     """
-    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
-    # enumerate reads no line ahead, so ``lines`` goes on after the first non-blank one
-    start, first = next(dropwhile(lambda pair: not pair[1].strip(), enumerate(lines, 1)), (1, ""))
-    # UCI-style files are often semicolon-separated; prefer whichever
-    # separator actually splits the first line.
-    delimiter = delimiter or (";" if first.count(";") > first.count(",") else ",")
-    for lineno, cells in enumerate(csv.reader(chain([first], lines), delimiter=delimiter), start):
+    return io.StringIO(source).readlines() if isinstance(source, str) else list(source)
+
+
+def _rows(lines: list[str], delimiter: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) for every row of ``lines`` that is not blank.
+
+    A blank row is an empty line or a single whitespace cell; a row of
+    empty cells is not blank, and fails where its cells are read. The
+    lines before the first non-blank one are blank in any delimiter, so
+    the reader starts there.
+    """
+    start = next((i for i, line in enumerate(lines) if line.strip()), 0)
+    for lineno, cells in enumerate(csv.reader(islice(lines, start, None), delimiter=delimiter), start + 1):
         if cells and (len(cells) > 1 or cells[0].strip()):
             yield lineno, cells
 
@@ -229,63 +252,95 @@ def _row_values(cells: list[str], names: Sequence, lineno: int) -> list[float]:
     """
     if len(cells) != len(names):
         raise StreamFormatError(f"line {lineno}: expected {len(names)} fields, got {len(cells)}")
-    try:
-        values = list(map(float, cells))
-        if math.isfinite(sum(values)):  # any nan or inf cell; a finite overflow is kept below
-            return values
-    except ValueError:
-        pass
+    values = []
     for cell, name in zip(cells, names):
         try:
-            problem = None if math.isfinite(float(cell)) else "non-finite training input"
+            values.append(float(cell))
         except ValueError:
-            problem = "non-numeric cell"
-        if problem is not None:
-            raise StreamFormatError(f"line {lineno}: {problem} {cell.strip()!r} in column {name!r}")
+            raise StreamFormatError(f"line {lineno}: non-numeric cell {cell.strip()!r} "
+                                    f"in column {name!r}") from None
+        if not math.isfinite(values[-1]):
+            raise StreamFormatError(f"line {lineno}: non-finite training input {cell.strip()!r} "
+                                    f"in column {name!r}")
     return values
+
+
+def _columns(lines: list[str], after: int, width: int, delimiter: str,
+             usecols=None) -> tuple[list[str], np.ndarray]:
+    """The non-blank lines after line ``after``, and their cells ``usecols`` read in bulk.
+
+    Raises ValueError wherever only ``_rows`` can say what the lines
+    hold: there are none, a line holds a carriage return or is not
+    ``width`` cells wide, or a cell is not a finite number that
+    ``np.loadtxt`` reads (a quoted cell, ``1_000``, an empty cell).
+    """
+    data = [line for line in lines[after:] if line.strip()]
+    # loadtxt ignores the cells past ``usecols``, so the width is checked here
+    if not data or any(line.count(delimiter) != width - 1 or "\r" in line for line in data):
+        raise ValueError("no lines, or a line the bulk step does not read")
+    table = np.loadtxt(data, delimiter=delimiter, comments=None, quotechar=None, ndmin=2, usecols=usecols)
+    if not np.isfinite(table).all():
+        raise ValueError("a non-finite cell")
+    return data, table
+
+
+def _instances(table: np.ndarray, target: int) -> list[Instance]:
+    """One instance per row of ``table``: cell ``target`` is y and the others, in order, are x."""
+    return list(map(Instance, np.delete(table, target, axis=1), table[:, target].tolist(),
+                    range(len(table))))
 
 
 def parse_yahoo_csv(source) -> list[Instance]:
     """Parse a Yahoo historical-quotes CSV into instances.
 
     ``source`` may be a string of CSV text or any iterable of lines
-    (an open file works). Rows are re-sorted by Date ascending, then
-    each becomes an Instance with features (Open, High, Low, Volume,
-    Adj Close) and target y = Close. The date itself is used only for
-    ordering. A nan or infinite cell is a StreamFormatError.
+    (an open file works). Rows are re-sorted by Date ascending, stably,
+    then each becomes an Instance with features (Open, High, Low,
+    Volume, Adj Close) and target y = Close. The date itself is used
+    only for ordering. A nan or infinite cell is a StreamFormatError.
     """
-    rows = _rows(source, ",")
+    lines = _lines(source)
+    rows = _rows(lines, ",")
     lineno, header = next(rows, (1, YAHOO_HEADER))  # an empty file has no rows to read
     if tuple(h.strip() for h in header) != YAHOO_HEADER:
         raise StreamFormatError(f"line {lineno}: expected header {','.join(YAHOO_HEADER)}, "
                                 f"got {','.join(header)!r}")
-    names = YAHOO_HEADER[1:]
-    parsed: list[tuple[date, list[float], float]] = []
-    for lineno, row in rows:
-        if len(row) != 7:
-            raise StreamFormatError(f"line {lineno}: expected 7 fields, got {len(row)}")
-        try:
-            day = date.fromisoformat(row[0].strip())
-        except ValueError as exc:
-            raise StreamFormatError(f"line {lineno}: bad date {row[0]!r}: {exc}") from None
-        opn, high, low, close, volume, adj = _row_values(row[1:], names, lineno)
-        parsed.append((day, [opn, high, low, volume, adj], close))
-    parsed.sort(key=itemgetter(0))
-    return [Instance(x=np.array(feats, dtype=float), y=target, index=i)
-            for i, (_, feats, target) in enumerate(parsed)]
+    try:  # a quoted header cell may span lines
+        data, table = _columns(lines, lineno + "".join(header).count("\n"), 7, ",", range(1, 7))
+        days = [date.fromisoformat(line.partition(",")[0].strip()) for line in data]
+    except ValueError:  # the line reader reads what the bulk step cannot, or names the line at fault
+        days = None
+    if days is None:
+        days, cells = [], []
+        for lineno, row in rows:
+            if len(row) != 7:
+                raise StreamFormatError(f"line {lineno}: expected 7 fields, got {len(row)}")
+            try:
+                days.append(date.fromisoformat(row[0].strip()))
+            except ValueError as exc:
+                raise StreamFormatError(f"line {lineno}: bad date {row[0]!r}: {exc}") from None
+            cells.append(_row_values(row[1:], YAHOO_HEADER[1:], lineno))
+        table = np.array(cells, dtype=float).reshape(-1, 6)
+    return _instances(table[sorted(range(len(days)), key=days.__getitem__)], 3)
 
 
 def parse_regression_csv(source, target_column) -> list[Instance]:
     """Parse a rectangular numeric CSV with a nominated target column.
 
-    ``target_column`` is either a column index (int) or a header name
-    (str; requires a header row). The first non-blank row is a header
-    when any of its non-empty cells fails to parse as a number, and it
-    sets the delimiter (';' or ',') and the width. All remaining
-    columns become features in file order. A nan or infinite cell is a
+    ``source`` is read as by ``parse_yahoo_csv``. ``target_column`` is
+    either a column index (int) or a header name (str; requires a
+    header row). The first non-blank row is a header when any of its
+    non-empty cells fails to parse as a number, and it sets the
+    delimiter (';' or ',') and the width. All remaining columns become
+    features in file order. A nan or infinite cell is a
     StreamFormatError.
     """
-    rows = _rows(source, None)
+    lines = _lines(source)
+    # UCI-style files are often semicolon-separated; prefer whichever
+    # separator actually splits the first non-blank line.
+    first_line = next(filter(str.strip, lines), "")
+    delimiter = ";" if first_line.count(";") > first_line.count(",") else ","
+    rows = _rows(lines, delimiter)
     lineno, first = next(rows, (1, None))
     if first is None:
         return []
@@ -294,8 +349,10 @@ def parse_regression_csv(source, target_column) -> list[Instance]:
     try:  # an empty cell is a missing value, not a name
         list(map(float, filter(str.strip, first)))
         rows = chain([(lineno, first)], rows)
+        after = lineno - 1
     except ValueError:
         header = [h.strip() for h in first]
+        after = lineno + "".join(first).count("\n")  # a quoted header cell may span lines
 
     if isinstance(target_column, str):
         if header is None:
@@ -313,10 +370,12 @@ def parse_regression_csv(source, target_column) -> list[Instance]:
     if not 0 <= target_idx < n_cols:
         raise StreamFormatError(f"target column index {target_idx} out of range for {n_cols} columns")
 
-    names = header or range(n_cols)
-    instances: list[Instance] = []
-    for lineno, row in rows:
-        values = _row_values(row, names, lineno)
-        y = values.pop(target_idx)
-        instances.append(Instance(x=np.array(values, dtype=float), y=y, index=len(instances)))
-    return instances
+    try:
+        table = _columns(lines, after, n_cols, delimiter)[1]
+    except ValueError:  # the line reader reads what the bulk step cannot, or names the line at fault
+        table = None
+    if table is None:
+        names = header or range(n_cols)
+        table = np.array([_row_values(row, names, lineno) for lineno, row in rows],
+                         dtype=float).reshape(-1, n_cols)
+    return _instances(table, target_idx)

@@ -2,13 +2,17 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from driftnet import streams
+from driftnet.prng import make_rng
 from driftnet.streams import (
     YAHOO_HEADER,
     DriftStreamSpec,
+    Instance,
     StreamFormatError,
     generate_drift_stream,
     hyperplane_target,
@@ -171,6 +175,62 @@ def test_zero_length_stream():
     assert list(generate_drift_stream(spec)) == []
 
 
+def _reference_stream(spec):
+    """The instance-by-instance loop the block generator replaced, kept as its oracle."""
+    rng = make_rng(spec.seed)
+    for t in range(spec.length):
+        x = rng.random(spec.dim)
+        active = 0
+        for j, (t0, width) in enumerate(zip(spec.drift_times, spec.drift_widths), 1):
+            if rng.random() < sigmoid_mix_probability(t, t0, width):
+                active = j
+        yield Instance(x=x, y=hyperplane_target(spec.concepts[active], x), index=t)
+
+
+CHUNK = streams._CHUNK
+# (drift time, drift width) per transition; the drifts straddle the block boundary
+DRIFTS = {"none": (), "abrupt": ((CHUNK, 1),), "gradual": ((CHUNK // 2, 2000),),
+          "two": ((3, 1), (CHUNK - 200, 2000))}
+
+
+@pytest.mark.parametrize("drifts", DRIFTS.values(), ids=DRIFTS)
+@pytest.mark.parametrize("length", [0, 1, 7, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_block_generator_matches_the_instance_loop(length, drifts):
+    for dim in (2, 3, 10):
+        for seed in (1, 2, 3, 4):
+            concepts = tuple(make_hyperplane_concept(10 * seed + j, dim) for j in range(len(drifts) + 1))
+            spec = DriftStreamSpec(concepts=concepts, drift_times=tuple(t for t, _ in drifts),
+                                   drift_widths=tuple(w for _, w in drifts), length=length, seed=seed)
+            got = [(inst.x.tobytes(), inst.y, inst.index) for inst in generate_drift_stream(spec)]
+            want = [(inst.x.tobytes(), inst.y, inst.index) for inst in _reference_stream(spec)]
+            assert got == want, (dim, seed)
+
+
+def _assert_row_types(instances):
+    for inst in instances:
+        assert type(inst.y) is float
+        assert inst.x.dtype == np.float64 and inst.x.ndim == 1 and inst.x.flags.c_contiguous
+
+
+def test_generated_instances_hold_a_float_target_and_a_contiguous_float64_row():
+    spec = _two_concept_spec(length=CHUNK + 5, t0=CHUNK, width=300)
+    _assert_row_types(generate_drift_stream(spec))
+
+
+def test_generation_is_lazy():
+    concepts = (make_hyperplane_concept(1, 10), make_hyperplane_concept(2, 10))
+    spec = DriftStreamSpec(concepts=concepts, drift_times=(5 * 10 ** 8,), drift_widths=(1,),
+                           length=10 ** 9, seed=1)
+    tracemalloc.start()
+    try:
+        first = next(generate_drift_stream(spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.index == 0
+    assert peak < 4 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # Yahoo-format ingestion.
 # ---------------------------------------------------------------------------
@@ -189,6 +249,11 @@ def test_yahoo_rows_sorted_by_date():
     assert [inst.index for inst in instances] == [0, 1, 2]
     # features: Open, High, Low, Volume, Adj Close
     assert instances[0].x.tolist() == [18.0, 18.5, 17.5, 2000.0, 18.1]
+
+
+def test_yahoo_rows_of_one_date_keep_their_file_order():
+    text = YAHOO_TEXT + "2014-01-02,9.0,9.5,8.5,9.2,3000,9.1\n"
+    assert [inst.y for inst in parse_yahoo_csv(text)] == [18.2, 9.2, 19.2, 20.2]
 
 
 def test_yahoo_header_must_match():
@@ -413,3 +478,108 @@ def test_finite_cells_whose_sum_overflows_are_kept():
     instances = parse_regression_csv(io.StringIO("1e308,1e308,-1e308\n"), 2)
     assert instances[0].x.tolist() == [1e308, 1e308]
     assert instances[0].y == -1e308
+
+
+# ---------------------------------------------------------------------------
+# The bulk step reads what the line reader reads, or leaves it to the reader.
+# ---------------------------------------------------------------------------
+
+# layout: (parser, header, data rows, index of the first numeric cell)
+BULK_LAYOUTS = {
+    "quotes": (parse_yahoo_csv, ",".join(YAHOO_HEADER),
+               [["2014-01-03", "19.0", "19.5", "18.5", "19.2", "1000", "19.1"],
+                ["2014-01-02", "18.0", "18.5", "17.5", "18.2", "2000", "18.1"],
+                ["2014-01-06", "20.0", "20.5", "19.5", "20.2", "1500", "20.1"]], 1),
+    "numeric": (lambda source: parse_regression_csv(source, "y"), "a,b,y",
+                [["1.5", "2", "3"], ["4", "5e-3", "-6"], ["7", "8", "9.25"]], 0),
+}
+
+
+def _text(header, rows):
+    return "".join(line + "\n" for line in [header, *map(",".join, rows)])
+
+
+def _with_cells(rows, row, col, *values):
+    rows = [list(cells) for cells in rows]
+    rows[row][col:col + len(values)] = values
+    return rows
+
+
+def _cell_case(value):
+    return lambda header, rows, col: _text(header, _with_cells(rows, 1, col, value))
+
+
+BULK_CASES = {
+    "plain": lambda header, rows, col: _text(header, rows),
+    "extra-field": lambda header, rows, col: _text(header, [rows[0], rows[1] + ["9"], rows[2]]),
+    "missing-field": lambda header, rows, col: _text(header, [rows[0], rows[1][:-1], rows[2]]),
+    "quoted-cell": _cell_case('"1.5"'),
+    "underscore": _cell_case("1_000"),
+    "spaced-cell": _cell_case(" 1.5 "),
+    "nan": _cell_case("nan"),
+    "inf": _cell_case("inf"),
+    "minus-inf": _cell_case("-inf"),
+    "overflow-to-inf": _cell_case("1e999"),
+    "finite-sum-overflow": lambda header, rows, col: _text(header, _with_cells(rows, 1, col, "1e308", "1e308")),
+    "blank-lines": lambda header, rows, col: _text(header, rows).replace("\n", "\n\n   \n\t\n", 2),
+    "row-of-empty-cells": lambda header, rows, col: _text(header, [rows[0], [""] * len(rows[0]), rows[2]]),
+    "crlf-str": lambda header, rows, col: _text(header, rows).replace("\n", "\r\n"),
+    "leading-blank-line-with-carriage-return": lambda header, rows, col: " \r \n" + _text(header, rows),
+    "header-alone": lambda header, rows, col: header + "\n",
+    "empty": lambda header, rows, col: "",
+}
+QUOTE_CASES = {
+    "unsorted-duplicate-dates": lambda header, rows, col: _text(
+        header, [[day, *cells[1:]] for day, cells in
+                 zip(["2014-01-03", "2014-01-02", "2014-01-03", "2014-01-02"], rows + rows[::-1])]),
+    "basic-date-form": lambda header, rows, col: _text(header, _with_cells(rows, 1, 0, "20200101")),
+    "spaced-date": lambda header, rows, col: _text(header, _with_cells(rows, 1, 0, " 2014-01-01 ")),
+    "quoted-date": lambda header, rows, col: _text(header, _with_cells(rows, 1, 0, '"2014-01-01"')),
+    "bad-date": lambda header, rows, col: _text(header, _with_cells(rows, 1, 0, "2014-13-01")),
+}
+NUMERIC_CASES = {
+    "semicolons": lambda header, rows, col: _text(header, rows).replace(",", ";"),
+    "quoted-header": lambda header, rows, col: _text('"a","b","y"', rows),
+    "header-cell-over-two-lines": lambda header, rows, col: _text('a,"b\nb",y', rows),
+    "unclosed-quote-in-header": lambda header, rows, col: _text('a,b,"y', rows),
+    "headerless": lambda header, rows, col: _text(",".join(rows[0]), rows[1:]),
+}
+# cases the bulk step reads itself; it leaves every other one to the line reader
+TAKE_THE_BULK_STEP = {"plain", "spaced-cell", "finite-sum-overflow", "blank-lines",
+                      "unsorted-duplicate-dates", "basic-date-form", "spaced-date",
+                      "semicolons", "quoted-header", "header-cell-over-two-lines"}
+
+
+def _bulk_cases():
+    for layout, cases in (("quotes", {**BULK_CASES, **QUOTE_CASES}),
+                          ("numeric", {**BULK_CASES, **NUMERIC_CASES})):
+        parse, header, rows, col = BULK_LAYOUTS[layout]
+        for name, make in cases.items():
+            yield pytest.param(parse, make(header, rows, col), name, id=f"{layout}-{name}")
+
+
+def _refuse(*args, **kwargs):
+    raise ValueError("left to the line reader")
+
+
+def _outcome(parse, text):
+    try:
+        instances = parse(text)
+    except StreamFormatError as exc:
+        return str(exc)
+    _assert_row_types(instances)
+    return [(inst.x.tobytes(), inst.y, inst.index) for inst in instances]
+
+
+@pytest.mark.parametrize("parse,text,case", _bulk_cases())
+def test_bulk_step_reads_as_the_line_reader(monkeypatch, parse, text, case):
+    with monkeypatch.context() as patch:
+        patch.setattr(streams, "_columns", _refuse)  # the line reader alone
+        expected = _outcome(parse, text)
+    row_values = streams._row_values
+    read_by_row = []
+    monkeypatch.setattr(streams, "_row_values",
+                        lambda *args: read_by_row.append(args) or row_values(*args))
+    assert _outcome(parse, text) == expected
+    if case in TAKE_THE_BULK_STEP:
+        assert not read_by_row and expected

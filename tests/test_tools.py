@@ -96,8 +96,8 @@ def test_ab_loop_refuses_trees_that_load_different_instances(tmp_path, capsys):
     shutil.copytree(ab_loop.SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
     streams = tree / "streams.py"
     text = streams.read_text(encoding="utf-8")
-    assert text.count("y=target, index=i") == 1
-    streams.write_text(text.replace("y=target, index=i", "y=target + 1.0, index=i"),
+    assert text.count("key=days.__getitem__)], 3)") == 1
+    streams.write_text(text.replace("key=days.__getitem__)], 3)", "key=days.__getitem__)] + 1.0, 3)"),
                        encoding="utf-8")
     args = [str(tree), "--length", "500", "--chunk", "250", "--passes", "1"]
     assert ab_loop.main(args) == 1
