@@ -43,27 +43,28 @@ from .prng import make_rng
 from .streams import Instance
 
 _WEIGHT_FLOOR_REL = 1e-12
+_SCALE_WARMUP = 500
 
 
 class ErrorScale:
     """Normalizer mapping raw absolute errors into [0, 1].
 
     Either a fixed known scale (for synthetic streams the target range
-    is known in advance) or a running maximum over the first ``warmup``
-    observed errors, frozen afterwards so one late outlier cannot
-    rescale history. The warm-up lasts until some error is nonzero, so
-    an all-zero start cannot freeze the scale at 0.
+    is known in advance) or a running maximum over the first
+    ``_SCALE_WARMUP`` observed errors, frozen afterwards so one late
+    outlier cannot rescale history. The first error given is skipped:
+    both ensembles start from one untrained seed expert, and its first
+    forecast (an EMA's 0 against a price near 100) says nothing about
+    the stream. The warm-up lasts until some error is nonzero, so an
+    all-zero start cannot freeze the scale at 0.
     """
 
-    def __init__(self, fixed: float | None = None, warmup: int = 500):
+    def __init__(self, fixed: float | None = None):
         if fixed is not None and fixed <= 0:
             raise ValueError(f"error_scale must be positive, got {fixed}")
-        if warmup < 1:
-            raise ValueError("warmup must be positive")
         self.fixed = fixed
-        self.warmup = warmup
         self._running_max = 0.0
-        self._observed = 0
+        self._observed = -1  # errors taken into the max; the first is skipped
 
     @property
     def scale(self) -> float:
@@ -72,8 +73,9 @@ class ErrorScale:
     def observe(self, error: float) -> None:
         if self.fixed is not None:
             return
-        if self._observed < self.warmup or self._running_max == 0.0:
-            self._running_max = max(self._running_max, abs(error))
+        if self._observed < _SCALE_WARMUP or self._running_max == 0.0:
+            if self._observed >= 0:
+                self._running_max = max(self._running_max, abs(error))
             self._observed += 1
 
     def normalize(self, error: float) -> float:
@@ -103,10 +105,9 @@ class SfnrConfig:
 
     ``mode`` picks the evolution trigger; the other mode's parameters
     are simply ignored. ``error_scale`` of None selects the frozen
-    running-max normalizer, which skips the first instance's error: it
-    is the untrained seed's forecast. ``metric``, ``k_max``, ``m_a``,
-    ``delta`` and ``error_scale`` are checked by the components built
-    from them.
+    running-max normalizer of ``ErrorScale``. ``metric``, ``k_max``,
+    ``m_a``, ``delta`` and ``error_scale`` are checked by the components
+    built from them.
     """
 
     metric: str = "eigenvector"
@@ -169,7 +170,7 @@ class ScaleFreeRegressor:
 
     @property
     def learners(self) -> dict[int, OnlineRegressor]:
-        """The experts by node id; an SGD bank of several answers with copies of its rows."""
+        """The experts by node id; a bank on rows answers with copies of them."""
         return self.bank.learners()
 
     @learners.setter
@@ -224,10 +225,8 @@ class ScaleFreeRegressor:
         current instance, and the event when the trigger fires, else None.
         """
         if self.config.mode == "adwin":
-            error = abs(diff)
-            if self.detector.n_added:  # the first error is the untrained seed's forecast
-                self.scale.observe(error)
-            if not self.detector.add(self.scale.normalize(error)):
+            self.scale.observe(diff)
+            if not self.detector.add(self.scale.normalize(diff)):
                 return None
             width_before, width_after = self.detector.last_cut
             depth = min(width_after, len(self.buffer))

@@ -15,8 +15,8 @@ its own ``predict`` and ``update``, and ``ExpertBank`` once per call for
 all of its rows.
 
 An ensemble holds its experts in an ``ExpertBank``: learner objects, one
-call per expert, until a plain ``SgdLinearRegressor`` bank holds two or
-more and one of them is trained; from then on rows of arrays, stepped
+call per expert, until a plain ``SgdLinearRegressor`` bank forecasts an
+instance with two or more; from then on rows of arrays, stepped
 together.
 """
 
@@ -202,13 +202,12 @@ class ExpertBank:
     ``ids`` is ascending, the order of ``ExpertNetwork.node_ids()``;
     ``predict`` returns the forecasts in that order. The experts are
     learner objects, one call per expert, until a bank whose prototype
-    is exactly ``SgdLinearRegressor`` is left with two or more by an
-    ``append`` while one of them, held or joining, is trained; from
-    then on they are rows of arrays, for good. The experts of any other
-    prototype, subclasses and wrappers included, or of a bank with no
-    prototype stay objects. On one row the array step costs about twice
-    the scalar one, and an ensemble that never evolves keeps one expert
-    for the whole stream.
+    is exactly ``SgdLinearRegressor`` is asked to ``predict`` with two
+    or more; from then on they are rows of arrays, for good. The
+    experts of any other prototype, subclasses and wrappers included,
+    or of a bank with no prototype stay objects. On one row the array
+    step costs about twice the scalar one, and an ensemble that never
+    evolves keeps one expert for the whole stream.
 
     Row i holds expert ``ids[i]``: its weights and Welford mean, M2 and
     inverse standard deviation (k x d), its bias and its update count
@@ -218,9 +217,9 @@ class ExpertBank:
     elementwise except the dot products, and ``np.vecdot`` calls the
     same BLAS dot per row as ``w @ x``; a sum over ``W * xs`` would
     round differently. Buffers hold ``capacity + 1`` rows and are
-    allocated once, at the move into rows, from the trained expert's
-    dimension. The dimension is checked once per call for all rows, and
-    once per learner written into a row.
+    allocated once, at the move into rows, from the dimension of the
+    instance forecast. The dimension is checked once per call for all
+    rows, and once per trained learner written into a row.
 
     The extra row holds the trainee, a newcomer that learns its
     warm-start window while the window arrives. ``open_trainee`` starts
@@ -243,15 +242,11 @@ class ExpertBank:
         self.learning_rate = prototype.learning_rate if type(prototype) is SgdLinearRegressor else None
         self._trainee = False  # row len(ids) trains a newcomer
 
-    def _into_rows(self, joining: SgdLinearRegressor) -> None:
-        # the one allocation: the held experts move into rows once one of
-        # them, or the one joining, is trained and so gives d
-        experts = (*self._objects, joining)
-        trained = next((e for e in experts if e.n_updates), None)
-        if trained is None:
-            return
+    def _into_rows(self, d: int) -> None:
+        # the one allocation, sized from the first instance forecast by two
+        # or more experts
         c = self.capacity + 1  # a full bank and its trainee
-        self._d = d = trained.weights.shape[0]
+        self._d = d
         self._w = np.zeros((c, d))
         self._mean = np.zeros((c, d))
         self._m2 = np.zeros((c, d))
@@ -263,9 +258,10 @@ class ExpertBank:
         self._g = np.empty(c)
         self._s = np.empty(c)
         self._untrained = False  # some row has count 0 (its next update keeps inv_std)
-        for i, learner in enumerate(experts):
+        for i, learner in enumerate(self._objects):
             self._write_row(i, learner)
         self._objects = None
+        self._view()
 
     def _view(self) -> None:
         # row views of the k experts (predict) and of them plus a pending
@@ -292,23 +288,19 @@ class ExpertBank:
     def append(self, expert_id: int, learner: OnlineRegressor) -> None:
         """Add ``learner`` as the last expert; the bank owns it from now on.
 
-        An SGD bank joined by a second or later expert while one of its
-        experts, held or joining, is trained moves into rows; on rows the
-        learner's state is copied into a row, otherwise the bank keeps it.
+        On rows the learner's state is copied into a row; otherwise the
+        bank keeps it.
         """
         self._check_room(expert_id)
         if self._trainee:
             raise ValueError("a trainee holds the next row; add it or drop it first")
-        k = len(self.ids)
         if self._objects is None:
-            self._write_row(k, learner)
-        elif k and self.learning_rate is not None:
-            self._into_rows(learner)
-        self.ids.append(expert_id)
-        if self._objects is not None:
-            self._objects.append(learner)
-        else:
+            self._write_row(len(self.ids), learner)
+            self.ids.append(expert_id)
             self._view()
+        else:
+            self.ids.append(expert_id)
+            self._objects.append(learner)
 
     def _write_row(self, i: int, learner: SgdLinearRegressor) -> None:
         if learner.n_updates:
@@ -377,8 +369,11 @@ class ExpertBank:
         self._view()
 
     def predict(self, x) -> list[float]:
-        if self._objects is not None:
-            return [learner.predict(x) for learner in self._objects]
+        objects = self._objects
+        if objects is not None:
+            if self.learning_rate is None or len(objects) < 2:
+                return [learner.predict(x) for learner in objects]
+            self._into_rows(x.shape[0])
         self._check(x)
         w, bias, mean, inv_std, xs, g = self._live
         np.subtract(x, mean, out=xs)

@@ -236,12 +236,17 @@ def _rows(lines: list[str], delimiter: str) -> Iterator[tuple[int, list[str]]]:
     A blank row is an empty line or a single whitespace cell; a row of
     empty cells is not blank, and fails where its cells are read. The
     lines before the first non-blank one are blank in any delimiter, so
-    the reader starts there.
+    the reader starts there. A line the csv module cannot read (a lone
+    carriage return) is a StreamFormatError naming it.
     """
     start = next((i for i, line in enumerate(lines) if line.strip()), 0)
-    for lineno, cells in enumerate(csv.reader(islice(lines, start, None), delimiter=delimiter), start + 1):
-        if cells and (len(cells) > 1 or cells[0].strip()):
-            yield lineno, cells
+    reader = csv.reader(islice(lines, start, None), delimiter=delimiter)
+    try:
+        for lineno, cells in enumerate(reader, start + 1):
+            if cells and (len(cells) > 1 or cells[0].strip()):
+                yield lineno, cells
+    except csv.Error as exc:
+        raise StreamFormatError(f"line {start + reader.line_num}: {exc}") from None
 
 
 def _row_values(cells: list[str], names: Sequence, lineno: int) -> list[float]:

@@ -7,6 +7,7 @@ import pytest
 
 from driftnet import learners as learners_module
 from driftnet.ensembles import (
+    _SCALE_WARMUP,
     AddExpRegressor,
     DriftEvent,
     ErrorScale,
@@ -95,8 +96,12 @@ def test_error_scale_fixed():
 
 
 def test_error_scale_running_max_freezes():
-    scale = ErrorScale(warmup=3)
-    for err in (0.2, 0.8, 0.4):
+    # the first error is the untrained seed's and is skipped; the max of
+    # the next _SCALE_WARMUP errors is the scale
+    scale = ErrorScale()
+    scale.observe(9.0)
+    assert scale.scale == 0.0
+    for err in [0.2] * (_SCALE_WARMUP - 2) + [0.4, 0.8]:
         scale.observe(err)
     assert scale.scale == 0.8
     scale.observe(5.0)  # past warmup: ignored
@@ -105,13 +110,16 @@ def test_error_scale_running_max_freezes():
 
 
 def test_error_scale_zero_scale_normalizes_to_zero():
-    scale = ErrorScale(warmup=2)
+    scale = ErrorScale()
+    assert scale.normalize(1.0) == 0.0
+    scale.observe(3.0)  # skipped
     assert scale.normalize(1.0) == 0.0
 
 
 def test_error_scale_warmup_waits_for_a_nonzero_error():
-    scale = ErrorScale(warmup=3)
-    for _ in range(5):
+    scale = ErrorScale()
+    scale.observe(3.0)  # skipped
+    for _ in range(_SCALE_WARMUP + 5):
         scale.observe(0.0)
     assert scale.scale == 0.0
     scale.observe(-2.0)  # first nonzero error ends the warm-up
@@ -124,8 +132,6 @@ def test_error_scale_warmup_waits_for_a_nonzero_error():
 def test_error_scale_validation():
     with pytest.raises(ValueError):
         ErrorScale(fixed=0.0)
-    with pytest.raises(ValueError):
-        ErrorScale(warmup=0)
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +370,13 @@ def test_process_returns_pretrain_forecast():
     assert ens.predict(inst.x) == 5.0
 
 
-def _assert_bank_storage(model, plain_sgd):
+def _assert_bank_storage(model, plain_sgd, index):
     # one rule for every bank: a plain-SGD bank moves its experts into rows
-    # when an expert joins while one of them is trained, and any other bank
-    # holds learner objects throughout. SFNR's second expert always joins a
-    # trained seed; AddExp's instance-0 newcomer joins an untrained seed, so
-    # both stay objects until the next addition.
-    if isinstance(model, AddExpRegressor):
-        rows = any(event.index > 0 for event in model.drift_log)
-    else:
-        rows = model.size >= 2
+    # at the first instance it forecasts with two or more, and any other
+    # bank holds learner objects throughout. Both ensembles grow by one
+    # expert per drift event and never shrink below it, so after instance
+    # ``index`` the bank is on rows when an event came before it.
+    rows = any(event.index < index for event in model.drift_log)
     assert (model.bank._objects is None) == (plain_sgd and rows)
 
 
@@ -419,7 +422,8 @@ def test_sgd_bank_matches_the_object_path(case, monkeypatch):
                 model.learners = model.learners
             out.append(model.process(inst))
             # the setter's bank holds the SGD experts as objects
-            _assert_bank_storage(model, model is bank and (reassign_at is None or inst.index < reassign_at))
+            _assert_bank_storage(model, model is bank and (reassign_at is None or inst.index < reassign_at),
+                                 inst.index)
             if cfg["mode"] == "period" and (inst.index + 1) % cfg["period"] == 0:
                 # every period end promotes or drops the trainee
                 assert not getattr(model.bank, "_trainee", False)
@@ -522,7 +526,7 @@ def test_process_records_each_present_expert_once_in_id_order(prototype):
         ens.process(inst)
         assert log == [(v, h - inst.y) for v, h in zip(present, preds)], inst.index
         log.clear()
-        _assert_bank_storage(ens, type(prototype) is SgdLinearRegressor)
+        _assert_bank_storage(ens, type(prototype) is SgdLinearRegressor, inst.index)
     assert len(ens.drift_log) > cfg.k_max  # newcomers arrived and experts left
 
 
@@ -546,6 +550,21 @@ def test_addexp_new_expert_weight_is_gamma_share():
     assert model.size == 2
     assert model.weights[1] == pytest.approx(0.1 * 0.5)
     assert model.drift_log == [DriftEvent(0)]
+
+
+def test_addexp_running_max_scale_skips_the_untrained_seeds_first_forecast():
+    # as in SFNR: an EMA seed forecasts 0 against a price near 100, and
+    # with that error in the running max the scale would freeze near 100
+    rng = make_rng(21)
+    price, stream = 100.0, []
+    for i in range(_SCALE_WARMUP + 100):
+        price += float(rng.normal())
+        stream.append(Instance(x=np.zeros(1), y=price, index=i))
+    model = AddExpRegressor(EmaForecaster(5))
+    errors = [abs(model.process(inst) - inst.y) for inst in stream]
+    assert errors[0] == stream[0].y
+    assert model.scale.scale == max(errors[1:_SCALE_WARMUP + 1]) < 10.0
+    assert model.drift_log and model.drift_log[0].index > 0
 
 
 def test_addexp_accurate_expert_never_grows():
@@ -612,20 +631,24 @@ def test_addexp_validation():
 def test_addexp_sgd_bank_matches_the_object_path(k_max):
     # a wrapped prototype takes the per-object loop; on a stream whose
     # scale switches hard enough to clip the SGD steps, the array bank's
-    # prune-and-add must give the same bytes
-    bank = AddExpRegressor(SgdLinearRegressor(0.1), k_max=k_max)
-    loop = AddExpRegressor(PassThrough(SgdLinearRegressor(0.1)), k_max=k_max)
+    # prune-and-add must give the same bytes. The running-max scale skips
+    # the seed's first error, so the first newcomer joins at instance 1;
+    # a fixed scale adds one at instance 0, beside the untrained seed.
     rng = make_rng(19)
     stream = [Instance(x=x, y=y, index=t) for t in range(600) for x, y in [_hostile_instance(rng, t)]]
-    for inst in stream:
-        assert bank.process(inst) == loop.process(inst), inst.index
-        assert bank.weights == loop.weights, inst.index
-        _assert_bank_storage(bank, True)
-        _assert_bank_storage(loop, False)
-    assert bank.drift_log[0] == DriftEvent(0)  # the pool was two objects after instance 0
-    assert bank.predict(stream[0].x) == loop.predict(stream[0].x)
-    assert bank.drift_log == loop.drift_log
-    assert len(bank.drift_log) > k_max  # experts were pruned too
+    for error_scale, first_addition in ((None, 1), (1e5, 0)):
+        bank = AddExpRegressor(SgdLinearRegressor(0.1), k_max=k_max, error_scale=error_scale)
+        loop = AddExpRegressor(PassThrough(SgdLinearRegressor(0.1)), k_max=k_max,
+                               error_scale=error_scale)
+        for inst in stream:
+            assert bank.process(inst) == loop.process(inst), inst.index
+            assert bank.weights == loop.weights, inst.index
+            _assert_bank_storage(bank, True, inst.index)
+            _assert_bank_storage(loop, False, inst.index)
+        assert bank.drift_log[0] == DriftEvent(first_addition)
+        assert bank.predict(stream[0].x) == loop.predict(stream[0].x)
+        assert bank.drift_log == loop.drift_log
+        assert len(bank.drift_log) > k_max  # experts were pruned too
 
 
 @pytest.mark.parametrize("prototype", [SgdLinearRegressor(), PassThrough(SgdLinearRegressor())],

@@ -197,26 +197,34 @@ def test_sgd_bank_is_byte_identical_to_scalar_learners(k_max):
 
 
 def test_sgd_bank_rejects_a_changed_dimension_and_a_full_bank():
-    # a trained seed puts both experts on rows, so the bank's own checks run
+    # the move into rows is sized from the instance forecast, and every
+    # trained expert written into a row must have its width
     seed = SgdLinearRegressor()
     seed.update(np.array([1.0, 2.0]), 1.0)
     wide = SgdLinearRegressor()
     wide.update(np.zeros(3), 1.0)
-    bank = ExpertBank(SgdLinearRegressor(), 2)
+    bank = ExpertBank(SgdLinearRegressor(), 3)
     bank.append(0, seed)
+    bank.append(1, copy.deepcopy(wide))
     with pytest.raises(ValueError, match=r"feature dimension changed: expected 2, got \(3,\)"):
-        bank.append(1, wide)
-    assert bank.ids == [0]  # the failed move leaves the seed an object
+        bank.predict(np.array([1.0, 2.0]))
+    assert bank._objects is not None  # the failed move leaves both objects
+    bank.remove(1)
     bank.append(1, SgdLinearRegressor())
+    bank.predict(np.array([1.0, 2.0]))
     assert bank._objects is None
+    with pytest.raises(ValueError, match=r"feature dimension changed: expected 2, got \(3,\)"):
+        bank.append(2, wide)
+    assert bank.ids == [0, 1]
     bank.update(np.array([1.0, 2.0]), 1.0)
     for x in (np.array([1.0]), np.zeros(3)):
         with pytest.raises(ValueError, match="feature dimension changed"):
             bank.predict(x)
         with pytest.raises(ValueError, match="feature dimension changed"):
             bank.update(x, 1.0)
+    bank.append(2, SgdLinearRegressor())
     with pytest.raises(ValueError, match="full"):
-        bank.append(2, SgdLinearRegressor())
+        bank.append(3, SgdLinearRegressor())
     # a bank of objects obeys the same capacity
     objects = ExpertBank(EmaForecaster(), 2)
     objects.append(0, EmaForecaster())
@@ -226,31 +234,52 @@ def test_sgd_bank_rejects_a_changed_dimension_and_a_full_bank():
     assert objects.ids == [0, 1]
 
 
-def test_sgd_bank_moves_into_rows_when_a_trained_expert_can_size_them():
-    # untrained experts give no dimension, so two of them stay objects; a
-    # third joining after an update moves all three into rows
+def test_sgd_bank_moves_into_rows_at_its_first_forecast_with_two_experts():
+    # one expert forecasts as an object; a second joining and training
+    # leaves both objects, and the next forecast moves them into rows,
+    # where a third joins straight into a row
     rng = make_rng(49)
     bank = ExpertBank(SgdLinearRegressor(0.1), 4)
-    ref = {0: SgdLinearRegressor(0.1), 1: SgdLinearRegressor(0.1)}
+    ref = {0: SgdLinearRegressor(0.1)}
     bank.append(0, SgdLinearRegressor(0.1))
-    bank.append(1, SgdLinearRegressor(0.1))
-    assert bank._objects is not None
     x, y = _hostile_instance(rng, 0)
-    _assert_bank_matches(bank, ref, x)
     for t in range(40):
+        _assert_bank_matches(bank, ref, x)
+        if t == 20:
+            bank.append(1, SgdLinearRegressor(0.1))
+            ref[1] = SgdLinearRegressor(0.1)
         bank.update(x, y)
         for learner in ref.values():
             learner.update(x, y)
+        assert (bank._objects is None) == (t > 20)
         x, y = _hostile_instance(rng, t + 1)
     bank.append(2, SgdLinearRegressor(0.1))
     ref[2] = SgdLinearRegressor(0.1)
-    assert bank._objects is None
     for t in range(40, 80):
         _assert_bank_matches(bank, ref, x)
         bank.update(x, y)
         for learner in ref.values():
             learner.update(x, y)
         x, y = _hostile_instance(rng, t + 1)
+    _assert_bank_matches(bank, ref, x)
+
+
+def test_sgd_bank_of_untrained_experts_moves_into_rows_at_its_first_forecast():
+    # a fixed-size ensemble starts with k untrained experts: no expert has
+    # a dimension, so the first instance forecast sizes the rows
+    rng = make_rng(50)
+    bank = ExpertBank(SgdLinearRegressor(0.1), 3)
+    ref = {i: SgdLinearRegressor(0.1) for i in range(3)}
+    for i in ref:
+        bank.append(i, SgdLinearRegressor(0.1))
+    for t in range(300):
+        x, y = _hostile_instance(rng, t)
+        forecasts = bank.predict(x)
+        assert bank._objects is None
+        assert np.array(forecasts).tobytes() == np.array([r.predict(x) for r in ref.values()]).tobytes()
+        bank.update(x, y)
+        for learner in ref.values():
+            learner.update(x, y)
     _assert_bank_matches(bank, ref, x)
 
 

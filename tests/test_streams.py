@@ -284,6 +284,13 @@ def test_yahoo_wrong_field_count():
     assert "line 2" in str(exc.value)
 
 
+def test_yahoo_lone_carriage_return_reports_line():
+    # CSV text is split only after newlines, so the csv module meets the \r
+    bad = YAHOO_TEXT + "2014-01-07,20,20.5,19.5,20.2\r1500,20.1\n"
+    with pytest.raises(StreamFormatError, match="^line 5: new-line character"):
+        parse_yahoo_csv(bad)
+
+
 # ---------------------------------------------------------------------------
 # Generic numeric CSV ingestion.
 # ---------------------------------------------------------------------------
@@ -349,6 +356,11 @@ def test_csv_ragged_row_reports_line():
     with pytest.raises(StreamFormatError) as exc:
         parse_regression_csv(io.StringIO(text), "b")
     assert "line 3" in str(exc.value)
+
+
+def test_csv_lone_carriage_return_reports_line():
+    with pytest.raises(StreamFormatError, match="^line 2: new-line character"):
+        parse_regression_csv("a,b\n1,2\r3,4\n", 1)
 
 
 def test_csv_empty_input():
