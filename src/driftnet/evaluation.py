@@ -17,6 +17,7 @@ result assembly is ordered by seed, never by completion.
 from __future__ import annotations
 
 import csv
+import inspect
 import math
 import os
 import time
@@ -32,6 +33,7 @@ from .streams import (
     DriftStreamSpec,
     Instance,
     StreamFormatError,
+    _target_bound,
     check_stream_shape,
     generate_drift_stream,
     make_hyperplane_concept,
@@ -78,6 +80,11 @@ _RESULT_TYPES = get_type_hints(ResultRow)
 RESULT_HEADER = ",".join(_RESULT_TYPES)
 
 
+def _default(owner, name: str):
+    """The default of argument ``name`` to ``owner``'s constructor."""
+    return inspect.signature(owner).parameters[name].default
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one experiment.
@@ -103,8 +110,8 @@ class ExperimentConfig:
     data_path: str | None = None
     target: str | int | None = None
     learner: str = "linear"
-    learning_rate: float = 0.01
-    ema_window: int = 5
+    learning_rate: float = _default(SgdLinearRegressor, "learning_rate")
+    ema_window: int = _default(EmaForecaster, "window")
     metric: str = SfnrConfig.metric
     k_max: int = SfnrConfig.k_max
     m_a: int = SfnrConfig.m_a
@@ -115,9 +122,9 @@ class ExperimentConfig:
     adwin_check_interval: int = SfnrConfig.adwin_check_interval
     adwin_capacity: int = SfnrConfig.adwin_capacity
     error_scale: float | None = None
-    beta: float = 0.5
-    gamma: float = 0.1
-    tau: float = 0.05
+    beta: float = _default(AddExpRegressor, "beta")
+    gamma: float = _default(AddExpRegressor, "gamma")
+    tau: float = _default(AddExpRegressor, "tau")
     seeds: tuple[int, ...] = (1,)
     report_every: int = 1000
     window_size: int = 10_000
@@ -167,13 +174,9 @@ def _reject_stream_shape(config: ExperimentConfig, is_set) -> None:
 
 
 def _resolved_error_scale(config: ExperimentConfig) -> float | None:
-    if config.error_scale is not None:
-        return config.error_scale
-    if config.data_path is None:
-        # synthetic target is a distance to a plane through the cube
-        # center, bounded by half the cube diagonal
-        return math.sqrt(config.dim) / 2.0
-    return None
+    if config.error_scale is None and config.data_path is None:
+        return _target_bound(config.dim)
+    return config.error_scale
 
 
 def _build_instances(config: ExperimentConfig, seed: int):

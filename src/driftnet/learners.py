@@ -28,6 +28,12 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 
+def _check_dimension(x: np.ndarray, d: int) -> None:
+    """Raise ValueError unless ``x`` holds ``d`` features."""
+    if x.shape != (d,):
+        raise ValueError(f"feature dimension changed: expected {d}, got {x.shape}")
+
+
 class OnlineRegressor(ABC):
     """Contract for incremental regressors."""
 
@@ -127,8 +133,7 @@ class SgdLinearRegressor(OnlineRegressor):
     def predict(self, x) -> float:
         if self.n_updates == 0:
             return 0.0
-        if x.shape != self._mean.shape:
-            raise ValueError(f"feature dimension changed: expected {self._mean.shape[0]}, got {x.shape}")
+        _check_dimension(x, self._mean.shape[0])
         xs = self._standardized(x)
         return float(self.weights @ xs) + self.bias
 
@@ -140,8 +145,8 @@ class SgdLinearRegressor(OnlineRegressor):
             self._m2 = np.zeros(d)
             self._inv_std = np.ones(d)
             self._scratch = np.empty(d)
-        elif x.shape != self._mean.shape:
-            raise ValueError(f"feature dimension changed: expected {self._mean.shape[0]}, got {x.shape}")
+        else:
+            _check_dimension(x, self._mean.shape[0])
         self.n_updates += 1
         n = self.n_updates
         delta = x - self._mean
@@ -274,10 +279,6 @@ class ExpertBank:
                       self._count[:n], self._count[:n, None], self._xs[:n], self._tmp[:n],
                       self._g[:n], self._g[:n, None], self._s[:n])
 
-    def _check(self, x) -> None:
-        if x.shape != (self._d,):
-            raise ValueError(f"feature dimension changed: expected {self._d}, got {x.shape}")
-
     def _check_room(self, expert_id: int) -> None:
         if self.ids and expert_id <= self.ids[-1]:
             raise ValueError(f"expert ids must be appended in increasing order: "
@@ -304,7 +305,7 @@ class ExpertBank:
 
     def _write_row(self, i: int, learner: SgdLinearRegressor) -> None:
         if learner.n_updates:
-            self._check(learner.weights)
+            _check_dimension(learner.weights, self._d)
             self._w[i] = learner.weights
             self._bias[i] = learner.bias
             self._mean[i] = learner._mean
@@ -374,7 +375,7 @@ class ExpertBank:
             if self.learning_rate is None or len(objects) < 2:
                 return [learner.predict(x) for learner in objects]
             self._into_rows(x.shape[0])
-        self._check(x)
+        _check_dimension(x, self._d)
         w, bias, mean, inv_std, xs, g = self._live
         np.subtract(x, mean, out=xs)
         np.multiply(xs, inv_std, out=xs)
@@ -387,7 +388,7 @@ class ExpertBank:
             for learner in self._objects:
                 learner.update(x, y)
             return
-        self._check(x)
+        _check_dimension(x, self._d)
         w, bias, mean, m2, inv_std, n, n_col, xs, tmp, g, g_col, s = self._rows
         n += 1.0
         np.subtract(x, mean, out=tmp)  # delta

@@ -11,19 +11,21 @@ transition is (W = 1 is effectively abrupt).
 File ingestion covers two layouts: the Yahoo historical-quote CSV
 (Date, Open, High, Low, Close, Volume, Adj Close) where Close is the
 prediction target, and generic rectangular numeric CSVs with a caller-
-nominated target column. Both skip only blank lines (an empty line,
-or one whitespace cell) and number every row by its physical line,
-and both turn cells into numbers under one rule: a row of the wrong
-width, or a cell that is not a finite number, is a StreamFormatError
-naming its line. A row of empty cells is not blank, so it is such an
-error too.
+nominated target column. Each parser checks its header and hands the
+rest to one table reader, whose only layout setting is whether the
+first column holds dates. It skips only blank lines (an empty line,
+or one whitespace cell), numbers every row by its physical line (a
+row whose quoted cell spans lines by its first), and turns cells into
+numbers under one rule: a row of the wrong width, a bad date, or a
+cell that is not a finite number is a StreamFormatError naming its
+line. A row of empty cells is not blank, so it is such an error too.
 
-Both read their numbers in bulk: one ``np.loadtxt`` over the data
+The reader reads the numbers in bulk: one ``np.loadtxt`` over the data
 lines, after a check that every line is as wide as the first row. Where
 that step cannot read a file (a quoted cell, ``1_000``, a carriage
 return, an empty or non-finite cell, a line of another width), the
-file is read again by the line-by-line reader, which alone writes the
-error messages, so each one still names its line and column. The
+same reader reads it again line by line, and that path alone writes
+the error messages, so each one still names its line and column. The
 generator, likewise, draws and computes blocks of instances at once,
 with the same draws in the same order as one instance at a time.
 Either way an instance's ``x`` is a row view of one float64 array.
@@ -185,6 +187,15 @@ def sigmoid_mix_probability(t: int, t0: int, width: int) -> float:
     return ez / (1.0 + ez)
 
 
+def _target_bound(d: int) -> float:
+    """The largest synthetic target in dimension ``d``, half the cube diagonal.
+
+    |w . (x - c)| <= ||x - c|| for a unit w, and x and the center c lie
+    in the unit cube.
+    """
+    return math.sqrt(d) / 2.0
+
+
 _CHUNK = 8192  # instances drawn per block, so a stream of any length stays lazy
 
 
@@ -208,7 +219,7 @@ def generate_drift_stream(spec: DriftStreamSpec) -> Iterator[Instance]:
     drifts = tuple(zip(spec.drift_times, spec.drift_widths))
     w = np.array([concept.w for concept in spec.concepts])
     c = np.array([concept.c for concept in spec.concepts])
-    bound = math.sqrt(d) / 2.0  # |w.(x-c)| <= ||x-c|| <= half the cube diagonal
+    bound = _target_bound(d)
     for start in range(0, spec.length, _CHUNK):
         times = range(start, min(start + _CHUNK, spec.length))
         draws = rng.random(len(times) * (d + len(drifts))).reshape(len(times), -1)
@@ -230,9 +241,12 @@ def _lines(source) -> list[str]:
     return io.StringIO(source).readlines() if isinstance(source, str) else list(source)
 
 
-def _rows(lines: list[str], delimiter: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, cells) for every row of ``lines`` that is not blank.
+def _rows(lines: list[str], delimiter: str) -> Iterator[tuple[int, int, list[str]]]:
+    """(first line, last line, cells) for every row of ``lines`` that is not blank.
 
+    Lines are physical lines, counted from the csv reader's
+    ``line_num``, so a row whose quoted cell spans lines is named by its
+    first line, and the next row's number counts every line before it.
     A blank row is an empty line or a single whitespace cell; a row of
     empty cells is not blank, and fails where its cells are read. The
     lines before the first non-blank one are blank in any delimiter, so
@@ -241,24 +255,32 @@ def _rows(lines: list[str], delimiter: str) -> Iterator[tuple[int, list[str]]]:
     """
     start = next((i for i, line in enumerate(lines) if line.strip()), 0)
     reader = csv.reader(islice(lines, start, None), delimiter=delimiter)
+    last = start
     try:
-        for lineno, cells in enumerate(reader, start + 1):
+        for cells in reader:
+            first, last = last + 1, start + reader.line_num
             if cells and (len(cells) > 1 or cells[0].strip()):
-                yield lineno, cells
+                yield first, last, cells
     except csv.Error as exc:
         raise StreamFormatError(f"line {start + reader.line_num}: {exc}") from None
 
 
-def _row_values(cells: list[str], names: Sequence, lineno: int) -> list[float]:
-    """The cells as floats, one per name.
+def _row_values(cells: list[str], names: Sequence, lineno: int, dated: bool) -> list:
+    """The cells as values, one per name: floats, after a date when ``dated``.
 
-    A row of the wrong width, or the first cell that is not a finite
-    number, is a StreamFormatError naming its line (and column).
+    A row of the wrong width, a first cell that is not an ISO date when
+    ``dated``, or the first other cell that is not a finite number, is a
+    StreamFormatError naming its line (and column).
     """
     if len(cells) != len(names):
         raise StreamFormatError(f"line {lineno}: expected {len(names)} fields, got {len(cells)}")
     values = []
-    for cell, name in zip(cells, names):
+    if dated:
+        try:
+            values.append(date.fromisoformat(cells[0].strip()))
+        except ValueError as exc:
+            raise StreamFormatError(f"line {lineno}: bad date {cells[0]!r}: {exc}") from None
+    for cell, name in zip(cells[dated:], names[dated:]):
         try:
             values.append(float(cell))
         except ValueError:
@@ -271,22 +293,44 @@ def _row_values(cells: list[str], names: Sequence, lineno: int) -> list[float]:
 
 
 def _columns(lines: list[str], after: int, width: int, delimiter: str,
-             usecols=None) -> tuple[list[str], np.ndarray]:
-    """The non-blank lines after line ``after``, and their cells ``usecols`` read in bulk.
+             dated: bool) -> tuple[list[date] | None, np.ndarray]:
+    """The non-blank lines after line ``after``, read in bulk: their dates (or None) and numbers.
 
     Raises ValueError wherever only ``_rows`` can say what the lines
     hold: there are none, a line holds a carriage return or is not
-    ``width`` cells wide, or a cell is not a finite number that
-    ``np.loadtxt`` reads (a quoted cell, ``1_000``, an empty cell).
+    ``width`` cells wide, a cell is not a finite number that
+    ``np.loadtxt`` reads (a quoted cell, ``1_000``, an empty cell), or
+    with ``dated`` a first cell is not an ISO date.
     """
     data = [line for line in lines[after:] if line.strip()]
     # loadtxt ignores the cells past ``usecols``, so the width is checked here
     if not data or any(line.count(delimiter) != width - 1 or "\r" in line for line in data):
         raise ValueError("no lines, or a line the bulk step does not read")
-    table = np.loadtxt(data, delimiter=delimiter, comments=None, quotechar=None, ndmin=2, usecols=usecols)
+    table = np.loadtxt(data, delimiter=delimiter, comments=None, quotechar=None, ndmin=2,
+                       usecols=range(dated, width))
     if not np.isfinite(table).all():
         raise ValueError("a non-finite cell")
-    return data, table
+    days = [date.fromisoformat(line.partition(delimiter)[0].strip()) for line in data] if dated else None
+    return days, table
+
+
+def _table(lines: list[str], rows, after: int, names: Sequence, delimiter: str,
+           dated: bool) -> tuple[list[date] | None, np.ndarray]:
+    """The dates (or None) and the numbers of the data rows after line ``after``.
+
+    ``rows`` is ``_rows`` over the same ``lines``, past the header. There
+    is one column per name; with ``dated`` the first holds ISO dates,
+    which come back as a list, and the table holds the others. The bulk
+    step reads the lines where it can; anything else is read row by row
+    by ``_row_values``, which alone writes the error messages.
+    """
+    try:
+        return _columns(lines, after, len(names), delimiter, dated)
+    except ValueError:  # the line reader reads what the bulk step cannot, or names the line at fault
+        pass
+    values = [_row_values(cells, names, first, dated) for first, _, cells in rows]
+    table = np.array([row[dated:] for row in values], dtype=float).reshape(-1, len(names) - dated)
+    return [row[0] for row in values] if dated else None, table
 
 
 def _instances(table: np.ndarray, target: int) -> list[Instance]:
@@ -306,26 +350,11 @@ def parse_yahoo_csv(source) -> list[Instance]:
     """
     lines = _lines(source)
     rows = _rows(lines, ",")
-    lineno, header = next(rows, (1, YAHOO_HEADER))  # an empty file has no rows to read
+    first, last, header = next(rows, (1, 1, YAHOO_HEADER))  # an empty file has no rows to read
     if tuple(h.strip() for h in header) != YAHOO_HEADER:
-        raise StreamFormatError(f"line {lineno}: expected header {','.join(YAHOO_HEADER)}, "
+        raise StreamFormatError(f"line {first}: expected header {','.join(YAHOO_HEADER)}, "
                                 f"got {','.join(header)!r}")
-    try:  # a quoted header cell may span lines
-        data, table = _columns(lines, lineno + "".join(header).count("\n"), 7, ",", range(1, 7))
-        days = [date.fromisoformat(line.partition(",")[0].strip()) for line in data]
-    except ValueError:  # the line reader reads what the bulk step cannot, or names the line at fault
-        days = None
-    if days is None:
-        days, cells = [], []
-        for lineno, row in rows:
-            if len(row) != 7:
-                raise StreamFormatError(f"line {lineno}: expected 7 fields, got {len(row)}")
-            try:
-                days.append(date.fromisoformat(row[0].strip()))
-            except ValueError as exc:
-                raise StreamFormatError(f"line {lineno}: bad date {row[0]!r}: {exc}") from None
-            cells.append(_row_values(row[1:], YAHOO_HEADER[1:], lineno))
-        table = np.array(cells, dtype=float).reshape(-1, 6)
+    days, table = _table(lines, rows, last, YAHOO_HEADER, ",", True)
     return _instances(table[sorted(range(len(days)), key=days.__getitem__)], 3)
 
 
@@ -346,18 +375,17 @@ def parse_regression_csv(source, target_column) -> list[Instance]:
     first_line = next(filter(str.strip, lines), "")
     delimiter = ";" if first_line.count(";") > first_line.count(",") else ","
     rows = _rows(lines, delimiter)
-    lineno, first = next(rows, (1, None))
-    if first is None:
+    first, last, cells = next(rows, (1, 1, None))
+    if cells is None:
         return []
 
     header: list[str] | None = None
     try:  # an empty cell is a missing value, not a name
-        list(map(float, filter(str.strip, first)))
-        rows = chain([(lineno, first)], rows)
-        after = lineno - 1
+        list(map(float, filter(str.strip, cells)))
+        rows = chain([(first, last, cells)], rows)
+        last = first - 1  # no header: the data start at this row
     except ValueError:
-        header = [h.strip() for h in first]
-        after = lineno + "".join(first).count("\n")  # a quoted header cell may span lines
+        header = [h.strip() for h in cells]
 
     if isinstance(target_column, str):
         if header is None:
@@ -369,18 +397,9 @@ def parse_regression_csv(source, target_column) -> list[Instance]:
     else:
         target_idx = int(target_column)
 
-    n_cols = len(first)
+    n_cols = len(cells)
     if -n_cols <= target_idx < 0:
         target_idx += n_cols
     if not 0 <= target_idx < n_cols:
         raise StreamFormatError(f"target column index {target_idx} out of range for {n_cols} columns")
-
-    try:
-        table = _columns(lines, after, n_cols, delimiter)[1]
-    except ValueError:  # the line reader reads what the bulk step cannot, or names the line at fault
-        table = None
-    if table is None:
-        names = header or range(n_cols)
-        table = np.array([_row_values(row, names, lineno) for lineno, row in rows],
-                         dtype=float).reshape(-1, n_cols)
-    return _instances(table, target_idx)
+    return _instances(_table(lines, rows, last, header or range(n_cols), delimiter, False)[1], target_idx)

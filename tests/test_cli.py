@@ -8,8 +8,9 @@ import pytest
 
 import driftnet.evaluation as evaluation
 from driftnet.cli import _UsageError, config_from_mapping, main, parse_config_file
-from driftnet.ensembles import SfnrConfig
+from driftnet.ensembles import AddExpRegressor, SfnrConfig
 from driftnet.evaluation import ExperimentConfig, parse_result_csv
+from driftnet.learners import EmaForecaster, RunningMeanRegressor, SgdLinearRegressor
 from driftnet.streams import parse_regression_csv
 
 
@@ -501,6 +502,12 @@ def test_every_sfnr_setting_is_reachable_from_a_config_file():
     assert len(shared) == 9
     for name in shared:
         assert getattr(ExperimentConfig(), name) == getattr(SfnrConfig(), name), name
+    # the learner and AddExp settings default to what their owners build with
+    addexp = AddExpRegressor(RunningMeanRegressor())
+    owned = {"learning_rate": SgdLinearRegressor().learning_rate, "ema_window": EmaForecaster().window,
+             "beta": addexp.beta, "gamma": addexp.gamma, "tau": addexp.tau}
+    for name, default in owned.items():
+        assert getattr(ExperimentConfig(), name) == default, name
 
 
 @pytest.mark.parametrize("field_name", ["k_max", "data_path", "record_timing"])

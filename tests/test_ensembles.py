@@ -14,8 +14,7 @@ from driftnet.ensembles import (
     ScaleFreeRegressor,
     SfnrConfig,
 )
-from driftnet.learners import (EmaForecaster, ExpertBank, OnlineRegressor, RunningMeanRegressor,
-                               SgdLinearRegressor)
+from driftnet.learners import EmaForecaster, OnlineRegressor, RunningMeanRegressor, SgdLinearRegressor
 from driftnet.network import ExpertNetwork, NodeStats
 from driftnet.prng import make_rng
 from driftnet.streams import Instance
@@ -453,8 +452,8 @@ def test_sgd_bank_guards_the_dimension_once_per_call(monkeypatch):
         ens.process(inst)
     assert ens.size == 3
     checks = []
-    check = ExpertBank._check
-    monkeypatch.setattr(ExpertBank, "_check", lambda bank, x: (checks.append(x), check(bank, x)))
+    check = learners_module._check_dimension
+    monkeypatch.setattr(learners_module, "_check_dimension", lambda x, d: (checks.append(x), check(x, d)))
     x = np.array([0.2, 0.5, 0.9])
     ens.process(Instance(x=x, y=0.3, index=60))
     assert len(checks) == 2  # one predict and one update for all three rows

@@ -445,6 +445,33 @@ def test_field_count_message(layout, extra):
     assert str(exc.value) == f"line 3: expected {width} fields, got {width + extra.count(',')}"
 
 
+def _over_two_lines(row, col):
+    """``row`` with its cell ``col`` quoted and ending in a line break."""
+    cells = row.split(",")
+    cells[col] = f'"{cells[col]}\n"'
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_header_cell_over_two_lines_leaves_line_numbers_physical(layout):
+    _, header, good, bad = LAYOUTS[layout]
+    header = _over_two_lines(header, 0)
+    assert len(_parse(layout, header, good, good)) == 2
+    with pytest.raises(StreamFormatError) as exc:
+        _parse(layout, header, good, bad)
+    assert str(exc.value).startswith("line 4: non-numeric cell 'x' in column ")
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_data_cell_over_two_lines_is_named_by_its_first_line(layout):
+    _, header, good, bad = LAYOUTS[layout]
+    assert len(_parse(layout, header, _over_two_lines(good, 1), good)) == 2
+    for lines, lineno in [((_over_two_lines(good, 1), bad), 4), ((good, _over_two_lines(bad, 1)), 3)]:
+        with pytest.raises(StreamFormatError) as exc:
+            _parse(layout, header, *lines)
+        assert str(exc.value).startswith(f"line {lineno}: non-numeric cell 'x' in column ")
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("lines", [(), ("", "  ")], ids=["empty", "blank-lines"])
 def test_empty_input_reads_no_instances(layout, lines):
@@ -535,6 +562,7 @@ BULK_CASES = {
     "finite-sum-overflow": lambda header, rows, col: _text(header, _with_cells(rows, 1, col, "1e308", "1e308")),
     "blank-lines": lambda header, rows, col: _text(header, rows).replace("\n", "\n\n   \n\t\n", 2),
     "row-of-empty-cells": lambda header, rows, col: _text(header, [rows[0], [""] * len(rows[0]), rows[2]]),
+    "data-cell-over-two-lines": _cell_case('"1.5\n"'),
     "crlf-str": lambda header, rows, col: _text(header, rows).replace("\n", "\r\n"),
     "leading-blank-line-with-carriage-return": lambda header, rows, col: " \r \n" + _text(header, rows),
     "header-alone": lambda header, rows, col: header + "\n",
