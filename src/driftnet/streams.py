@@ -29,6 +29,11 @@ the error messages, so each one still names its line and column. The
 generator, likewise, draws and computes blocks of instances at once,
 with the same draws in the same order as one instance at a time.
 Either way an instance's ``x`` is a row view of one float64 array.
+
+A parse holds the text, the dates and the table only until the numbers
+are read. They die with the frames that read them, before the first
+instance is built, so a parse peaks near the memory its instances keep.
+Rows already in date order are not copied to sort them.
 """
 
 from __future__ import annotations
@@ -52,12 +57,14 @@ class StreamFormatError(ValueError):
     """Raised when an input file does not match the documented layout."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Instance:
     """One stream element: feature vector, target, and stream position.
 
     Experts trust it unchecked: ``x`` must be a finite 1-D float64 array
     and ``y`` a finite float, as the parsers and the generator ensure.
+    It has slots, so it has no ``__dict__`` and takes no other
+    attribute, and two instances are equal only when they are one.
     """
 
     x: np.ndarray
@@ -314,29 +321,43 @@ def _columns(lines: list[str], after: int, width: int, delimiter: str,
     return days, table
 
 
-def _table(lines: list[str], rows, after: int, names: Sequence, delimiter: str,
-           dated: bool) -> tuple[list[date] | None, np.ndarray]:
-    """The dates (or None) and the numbers of the data rows after line ``after``.
+def _table(lines: list[str], rows, after: int, names: Sequence, delimiter: str, dated: bool,
+           target: int) -> tuple[np.ndarray, list[float]]:
+    """The features x (one row each) and targets y of the data rows after line ``after``.
 
     ``rows`` is ``_rows`` over the same ``lines``, past the header. There
     is one column per name; with ``dated`` the first holds ISO dates,
-    which come back as a list, and the table holds the others. The bulk
-    step reads the lines where it can; anything else is read row by row
-    by ``_row_values``, which alone writes the error messages.
+    which sort the rows stably and are then dropped. Of the numbers in
+    a row, the one at ``target`` is y and the others, in order, are x.
+    The bulk step reads the lines where it can; anything else is read
+    row by row by ``_row_values``, which alone writes the error
+    messages. The dates and the table die with this frame.
     """
     try:
-        return _columns(lines, after, len(names), delimiter, dated)
+        days, table = _columns(lines, after, len(names), delimiter, dated)
     except ValueError:  # the line reader reads what the bulk step cannot, or names the line at fault
-        pass
-    values = [_row_values(cells, names, first, dated) for first, _, cells in rows]
-    table = np.array([row[dated:] for row in values], dtype=float).reshape(-1, len(names) - dated)
-    return [row[0] for row in values] if dated else None, table
+        values = [_row_values(cells, names, first, dated) for first, _, cells in rows]
+        table = np.array([row[dated:] for row in values], dtype=float).reshape(-1, len(names) - dated)
+        days = [row[0] for row in values] if dated else None
+    if dated and days != sorted(days):  # a stable sort of dates in order is the identity
+        table = table[sorted(range(len(days)), key=days.__getitem__)]
+    return np.delete(table, target, axis=1), table[:, target].tolist()
 
 
-def _instances(table: np.ndarray, target: int) -> list[Instance]:
-    """One instance per row of ``table``: cell ``target`` is y and the others, in order, are x."""
-    return list(map(Instance, np.delete(table, target, axis=1), table[:, target].tolist(),
-                    range(len(table))))
+def _instances(x: np.ndarray, y: list[float]) -> list[Instance]:
+    """One instance per row of ``x`` and value of ``y``, indexed from 0."""
+    return list(map(Instance, x, y, range(len(y))))
+
+
+def _read_yahoo(source) -> tuple[np.ndarray, list[float]]:
+    """x and y of ``parse_yahoo_csv``; the text dies with this frame."""
+    lines = _lines(source)
+    rows = _rows(lines, ",")
+    first, last, header = next(rows, (1, 1, YAHOO_HEADER))  # an empty file has no rows to read
+    if tuple(h.strip() for h in header) != YAHOO_HEADER:
+        raise StreamFormatError(f"line {first}: expected header {','.join(YAHOO_HEADER)}, "
+                                f"got {','.join(header)!r}")
+    return _table(lines, rows, last, YAHOO_HEADER, ",", True, 3)
 
 
 def parse_yahoo_csv(source) -> list[Instance]:
@@ -348,27 +369,11 @@ def parse_yahoo_csv(source) -> list[Instance]:
     Volume, Adj Close) and target y = Close. The date itself is used
     only for ordering. A nan or infinite cell is a StreamFormatError.
     """
-    lines = _lines(source)
-    rows = _rows(lines, ",")
-    first, last, header = next(rows, (1, 1, YAHOO_HEADER))  # an empty file has no rows to read
-    if tuple(h.strip() for h in header) != YAHOO_HEADER:
-        raise StreamFormatError(f"line {first}: expected header {','.join(YAHOO_HEADER)}, "
-                                f"got {','.join(header)!r}")
-    days, table = _table(lines, rows, last, YAHOO_HEADER, ",", True)
-    return _instances(table[sorted(range(len(days)), key=days.__getitem__)], 3)
+    return _instances(*_read_yahoo(source))
 
 
-def parse_regression_csv(source, target_column) -> list[Instance]:
-    """Parse a rectangular numeric CSV with a nominated target column.
-
-    ``source`` is read as by ``parse_yahoo_csv``. ``target_column`` is
-    either a column index (int) or a header name (str; requires a
-    header row). The first non-blank row is a header when any of its
-    non-empty cells fails to parse as a number, and it sets the
-    delimiter (';' or ',') and the width. All remaining columns become
-    features in file order. A nan or infinite cell is a
-    StreamFormatError.
-    """
+def _read_regression(source, target_column) -> tuple[np.ndarray, list[float]]:
+    """x and y of ``parse_regression_csv``; the text dies with this frame."""
     lines = _lines(source)
     # UCI-style files are often semicolon-separated; prefer whichever
     # separator actually splits the first non-blank line.
@@ -377,7 +382,7 @@ def parse_regression_csv(source, target_column) -> list[Instance]:
     rows = _rows(lines, delimiter)
     first, last, cells = next(rows, (1, 1, None))
     if cells is None:
-        return []
+        return np.empty((0, 0)), []
 
     header: list[str] | None = None
     try:  # an empty cell is a missing value, not a name
@@ -398,8 +403,20 @@ def parse_regression_csv(source, target_column) -> list[Instance]:
         target_idx = int(target_column)
 
     n_cols = len(cells)
-    if -n_cols <= target_idx < 0:
-        target_idx += n_cols
-    if not 0 <= target_idx < n_cols:
+    if not -n_cols <= target_idx < n_cols:  # a negative index counts from the end
         raise StreamFormatError(f"target column index {target_idx} out of range for {n_cols} columns")
-    return _instances(_table(lines, rows, last, header or range(n_cols), delimiter, False)[1], target_idx)
+    return _table(lines, rows, last, header or range(n_cols), delimiter, False, target_idx)
+
+
+def parse_regression_csv(source, target_column) -> list[Instance]:
+    """Parse a rectangular numeric CSV with a nominated target column.
+
+    ``source`` is read as by ``parse_yahoo_csv``. ``target_column`` is
+    either a column index (int) or a header name (str; requires a
+    header row). The first non-blank row is a header when any of its
+    non-empty cells fails to parse as a number, and it sets the
+    delimiter (';' or ',') and the width. All remaining columns become
+    features in file order. A nan or infinite cell is a
+    StreamFormatError.
+    """
+    return _instances(*_read_regression(source, target_column))

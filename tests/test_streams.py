@@ -1,8 +1,11 @@
 """Synthetic stream generation and dataset ingestion tests."""
 
+import dataclasses
 import io
 import math
+import pickle
 import tracemalloc
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -229,6 +232,37 @@ def test_generation_is_lazy():
         tracemalloc.stop()
     assert first.index == 0
     assert peak < 4 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# The instance record.
+# ---------------------------------------------------------------------------
+
+def test_an_instance_takes_no_other_attribute():
+    inst = Instance(x=np.arange(3.0), y=1.5, index=7)
+    with pytest.raises(AttributeError):
+        inst.weight = 2.0
+    assert not hasattr(inst, "__dict__")
+
+
+@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+def test_a_pickled_instance_keeps_its_bytes(protocol):
+    inst = Instance(x=np.array([0.1, -2.5, 3e300, 5e-324]), y=0.1 + 0.2, index=12)
+    back = pickle.loads(pickle.dumps(inst, protocol))
+    assert back.x.tobytes() == inst.x.tobytes() and back.x.dtype == np.float64
+    assert back.y.hex() == inst.y.hex() and back.index == inst.index
+
+
+def test_an_instance_field_can_be_replaced():
+    inst = Instance(x=np.arange(3.0), y=1.5, index=7)
+    moved = dataclasses.replace(inst, index=8)
+    assert moved.x is inst.x and moved.y == inst.y and moved.index == 8
+
+
+def test_instances_are_equal_only_to_themselves():
+    x = np.arange(3.0)
+    a, b = Instance(x=x, y=1.5, index=0), Instance(x=x, y=1.5, index=0)
+    assert a == a and a != b
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +603,7 @@ BULK_CASES = {
     "empty": lambda header, rows, col: "",
 }
 QUOTE_CASES = {
+    "dates-in-order": lambda header, rows, col: _text(header, sorted(rows)),
     "unsorted-duplicate-dates": lambda header, rows, col: _text(
         header, [[day, *cells[1:]] for day, cells in
                  zip(["2014-01-03", "2014-01-02", "2014-01-03", "2014-01-02"], rows + rows[::-1])]),
@@ -586,7 +621,7 @@ NUMERIC_CASES = {
 }
 # cases the bulk step reads itself; it leaves every other one to the line reader
 TAKE_THE_BULK_STEP = {"plain", "spaced-cell", "finite-sum-overflow", "blank-lines",
-                      "unsorted-duplicate-dates", "basic-date-form", "spaced-date",
+                      "dates-in-order", "unsorted-duplicate-dates", "basic-date-form", "spaced-date",
                       "semicolons", "quoted-header", "header-cell-over-two-lines"}
 
 
@@ -623,3 +658,31 @@ def test_bulk_step_reads_as_the_line_reader(monkeypatch, parse, text, case):
     assert _outcome(parse, text) == expected
     if case in TAKE_THE_BULK_STEP:
         assert not read_by_row and expected
+
+
+# ---------------------------------------------------------------------------
+# A parse lets go of the text, the dates and the table before it builds
+# the instances, so its peak is the memory it keeps.
+# ---------------------------------------------------------------------------
+
+def _long_text(layout, n=20_000):
+    cells = np.random.default_rng(1).uniform(1.0, 100.0, (n, 6))
+    if layout == "quotes":
+        days = [(date(1990, 1, 1) + timedelta(days=t)).isoformat() for t in range(n)]
+        return _text(",".join(YAHOO_HEADER), [[day, *(f"{v:.4f}" for v in row)]
+                                             for day, row in zip(days, cells)])
+    return _text("a,b,c,d,e,y", [[f"{v:.6f}" for v in row] for row in cells])
+
+
+@pytest.mark.parametrize("layout", BULK_LAYOUTS)
+def test_a_parse_peaks_at_the_instances_it_returns(monkeypatch, layout):
+    source = io.StringIO(_long_text(layout))
+    monkeypatch.setattr(streams, "_row_values", _refuse)  # the bulk step reads it all
+    tracemalloc.start()
+    try:
+        instances = BULK_LAYOUTS[layout][0](source)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(instances) == 20_000
+    assert peak <= 1.25 * retained, f"peak {peak / retained:.2f}x the instances"

@@ -67,6 +67,8 @@ def test_ab_loop_of_the_checkout_against_itself(capsys, workload):
     assert "(A and B are the same tree)" in out
     assert re.search(r"^  set-up: A \d+\.\d{3} s   B \d+\.\d{3} s   speedup \d+\.\d{3}x "
                      r"over 2 loads each$", out, re.MULTILINE)
+    assert re.search(r"^  traced set-up: A peak \d+\.\d{3} MB, retained \d+\.\d{3} MB   "
+                     r"B peak \d+\.\d{3} MB, retained \d+\.\d{3} MB$", out, re.MULTILINE)
     assert "forecasts and drift logs identical" in out
 
 
@@ -96,8 +98,8 @@ def test_ab_loop_refuses_trees_that_load_different_instances(tmp_path, capsys):
     shutil.copytree(ab_loop.SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
     streams = tree / "streams.py"
     text = streams.read_text(encoding="utf-8")
-    assert text.count("key=days.__getitem__)], 3)") == 1
-    streams.write_text(text.replace("key=days.__getitem__)], 3)", "key=days.__getitem__)] + 1.0, 3)"),
+    assert text.count("table[:, target].tolist()") == 1
+    streams.write_text(text.replace("table[:, target].tolist()", "(table[:, target] + 1.0).tolist()"),
                        encoding="utf-8")
     args = [str(tree), "--length", "500", "--chunk", "250", "--passes", "1"]
     assert ab_loop.main(args) == 1

@@ -31,6 +31,12 @@ speedup (A's time over B's) and the quartiles of the per-chunk ratio,
 then the total set-up time of each side and its speedup, and notes when
 A and B resolve to the same tree, which measures only the noise of the
 machine.
+
+Memory gets the same in-process pairing. ``ru_maxrss`` is one figure
+for the whole process, so before the timed passes each side loads its
+input once more, untimed, under ``tracemalloc``. The report gives each
+side's traced peak during that set-up and the memory still traced after
+it, which is what the loaded instances keep.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 import types
 from array import array
 from pathlib import Path
@@ -115,6 +122,16 @@ class Side:
         self.instances = self.workload.load(self.source)[0]
         return time.perf_counter_ns() - t0
 
+    def traced_load(self) -> tuple[int, int]:
+        """Load once more under tracemalloc; return the bytes traced at the peak and after it."""
+        tracemalloc.start()
+        try:
+            self.load()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, retained
+
     def start_pass(self) -> None:
         self.model = self.workload.build_model(self.seed)
         self.window = self.tree.PrequentialWindow()
@@ -171,6 +188,7 @@ def main(argv=None) -> int:
 
 def compare(a: Side, b: Side, args, tree_a: Path) -> int:
     """Run ``args.passes`` passes of set-up and loop on both sides; print the report."""
+    (peak_a, kept_a), (peak_b, kept_b) = a.traced_load(), b.traced_load()
     setup_a = setup_b = total_a = total_b = 0
     ratios = []
     for pass_no in range(args.passes):
@@ -210,6 +228,8 @@ def compare(a: Side, b: Side, args, tree_a: Path) -> int:
     print(f"  chunk ratio A/B: median {median:.3f} [{q1:.3f}, {q3:.3f}] over {len(ratios)} chunks")
     print(f"  set-up: A {setup_a / 1e9:.3f} s   B {setup_b / 1e9:.3f} s   "
           f"speedup {setup_a / setup_b:.3f}x over {args.passes} loads each")
+    print(f"  traced set-up: A peak {peak_a / 2**20:.3f} MB, retained {kept_a / 2**20:.3f} MB   "
+          f"B peak {peak_b / 2**20:.3f} MB, retained {kept_b / 2**20:.3f} MB")
     print("  forecasts and drift logs identical")
     return 0
 
