@@ -21,7 +21,6 @@ import inspect
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
@@ -287,6 +286,8 @@ def run_experiment_detailed(config: ExperimentConfig, max_workers: int = 1
     if max_workers > 1 and len(seeds) > 1:
         # fork starts every worker up front, so never more than there are seeds
         # each worker parses a data file itself: cheaper than pickling the parsed instances to it
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays for multiprocessing
+
         with ProcessPoolExecutor(max_workers=min(max_workers, len(seeds))) as pool:
             futures = {seed: pool.submit(_run_single_seed, config, seed) for seed in seeds}
             per_seed = {seed: futures[seed].result() for seed in seeds}

@@ -27,18 +27,25 @@ return, an empty or non-finite cell, a line of another width), the
 same reader reads it again line by line, and that path alone writes
 the error messages, so each one still names its line and column. The
 generator, likewise, draws and computes blocks of instances at once,
-with the same draws in the same order as one instance at a time.
-Either way an instance's ``x`` is a row view of one float64 array.
+with the same draws in the same order as one instance at a time. It
+evaluates a drift's mix probability only in a window of times, outside
+which that probability is exactly 0.0 before and 1.0 after, and copies a
+block's features out of its draws, so that no row keeps the drift
+columns alive. Either way an instance's ``x`` is a C-contiguous row
+view of one float64 array that holds features alone.
 
 A parse holds the text, the dates and the table only until the numbers
 are read. They die with the frames that read them, before the first
 instance is built, so a parse peaks near the memory its instances keep.
-Rows already in date order are not copied to sort them.
+Rows already in date order are not copied to sort them. The instances
+are built with the cyclic garbage collector paused, so that their
+allocations set off no collection that walks the objects already alive.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
 from dataclasses import dataclass, field
@@ -194,6 +201,16 @@ def sigmoid_mix_probability(t: int, t0: int, width: int) -> float:
     return ez / (1.0 + ez)
 
 
+def _mix_window(t0: int, width: int) -> tuple[int, int]:
+    """The times [lo, hi) outside which ``sigmoid_mix_probability(t, t0, width)`` is decided.
+
+    Below lo, z = 4 (t - t0) / width < -748 < -745.13, where ``exp(z)``
+    underflows, so the probability is exactly 0.0. From hi on, z >= 40
+    > 36.74, where 1 / (1 + exp(-z)) rounds to exactly 1.0.
+    """
+    return t0 - 187 * width, t0 + 10 * width
+
+
 def _target_bound(d: int) -> float:
     """The largest synthetic target in dimension ``d``, half the cube diagonal.
 
@@ -218,8 +235,10 @@ def generate_drift_stream(spec: DriftStreamSpec) -> Iterator[Instance]:
 
     The draws come in blocks of up to 8,192 instances, one row of d
     features and then one value per drift point each, which is the
-    order an instance-by-instance loop draws them in; every ``x`` is a
-    row view of its block.
+    order an instance-by-instance loop draws them in. The mix
+    probability is computed only inside each drift's ``_mix_window``.
+    Every ``x`` is a row view of its block's features alone, copied out
+    of the draws, so an instance keeps no drift column alive.
     """
     rng = make_rng(spec.seed)
     d = spec.dim
@@ -230,10 +249,14 @@ def generate_drift_stream(spec: DriftStreamSpec) -> Iterator[Instance]:
     for start in range(0, spec.length, _CHUNK):
         times = range(start, min(start + _CHUNK, spec.length))
         draws = rng.random(len(times) * (d + len(drifts))).reshape(len(times), -1)
-        x = draws[:, :d]
+        x = draws[:, :d].copy()
         active = np.zeros(len(times), dtype=np.intp)
         for j, (t0, width) in enumerate(drifts, 1):
-            active[draws[:, d + j - 1] < [sigmoid_mix_probability(t, t0, width) for t in times]] = j
+            lo, hi = (max(edge - start, 0) for edge in _mix_window(t0, width))
+            mix = np.ones(len(times))
+            mix[:lo] = 0.0
+            mix[lo:hi] = [sigmoid_mix_probability(t, t0, width) for t in times[lo:hi]]
+            active[draws[:, d + j - 1] < mix] = j
         y = np.abs(np.vecdot(w[active], x - c[active]))
         assert (y <= bound).all(), "target exceeded the half-diagonal bound"
         yield from map(Instance, x, y.tolist(), times)
@@ -345,8 +368,19 @@ def _table(lines: list[str], rows, after: int, names: Sequence, delimiter: str, 
 
 
 def _instances(x: np.ndarray, y: list[float]) -> list[Instance]:
-    """One instance per row of ``x`` and value of ``y``, indexed from 0."""
-    return list(map(Instance, x, y, range(len(y))))
+    """One instance per row of ``x`` and value of ``y``, indexed from 0.
+
+    The cyclic collector is paused while they are built, since their
+    allocations would set off collections that walk every tracked
+    object again and again; the caller's setting is restored after.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(map(Instance, x, y, range(len(y))))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _read_yahoo(source) -> tuple[np.ndarray, list[float]]:

@@ -1,8 +1,13 @@
 """Command-line behavior: subcommands, config files, exit codes."""
 
+import concurrent.futures
 import hashlib
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -148,7 +153,7 @@ def test_run_setting_checked_by_its_owner_is_usage_error(tmp_path, capsys, monke
 
 
 def test_run_setting_checked_by_its_owner_before_the_pool_starts(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     cfg = write_config(tmp_path, BASIC + "metric = katz\n")
     assert main(["run", cfg, "--workers", "2"]) == 1
@@ -177,7 +182,11 @@ def test_run_non_finite_quote_names_the_line(tmp_path, capsys):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and runs each task inline."""
+    """Stands in for ProcessPoolExecutor: records its size and runs each task inline.
+
+    The pool branch imports the pool from ``concurrent.futures`` when it
+    starts one, so the tests put this class there.
+    """
 
     sizes: list[int] = []
 
@@ -197,7 +206,7 @@ class _RecordingPool:
 
 
 def test_run_pool_is_no_larger_than_the_seed_list(tmp_path, monkeypatch):
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
     cfg = write_config(tmp_path, BASIC)
@@ -214,7 +223,7 @@ def test_run_pool_is_no_larger_than_the_seed_list(tmp_path, monkeypatch):
 ], ids=["quotes", "numeric"])
 def test_run_of_a_file_with_no_data_rows_is_runtime_error(tmp_path, capsys, monkeypatch,
                                                           workers, text, settings):
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     data = tmp_path / "header-only.csv"
     data.write_text(text)
@@ -224,6 +233,19 @@ def test_run_of_a_file_with_no_data_rows_is_runtime_error(tmp_path, capsys, monk
     assert f"data file {str(data)!r} holds no data rows" in captured.err
     assert captured.out == ""
     assert _RecordingPool.sizes == ([] if workers == "1" else [2])
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # a single-process run never starts a pool, so importing driftnet must not load one
+    src = str(Path(evaluation.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
+    code = ("import sys, driftnet, driftnet.cli\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_run_of_length_zero_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -238,7 +260,7 @@ def test_run_of_length_zero_is_usage_error(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("workers", ["0", "-4"])
 def test_run_workers_below_one_is_usage_error(tmp_path, capsys, monkeypatch, workers):
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     cfg = write_config(tmp_path, BASIC)
     assert main(["run", cfg, "--workers", workers]) == 1

@@ -1,6 +1,7 @@
 """Synthetic stream generation and dataset ingestion tests."""
 
 import dataclasses
+import gc
 import io
 import math
 import pickle
@@ -82,6 +83,15 @@ def test_sigmoid_width_one_is_effectively_abrupt():
     # W=1 puts >98% of the transition inside +/-1 instance of t0
     assert sigmoid_mix_probability(999, 1000, 1) < 0.02
     assert sigmoid_mix_probability(1001, 1000, 1) > 0.98
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 1000, 2000])
+def test_the_mix_is_decided_outside_its_window(width):
+    # the generator fills 0.0 below the window and 1.0 from its end on, unevaluated
+    for t0 in (0, 1, 5, 8192, 12_345, 10 ** 9):
+        lo, hi = streams._mix_window(t0, width)
+        assert sigmoid_mix_probability(lo - 1, t0, width) == 0.0
+        assert sigmoid_mix_probability(hi, t0, width) == 1.0
 
 
 def test_sigmoid_extremes_stay_finite():
@@ -191,9 +201,15 @@ def _reference_stream(spec):
 
 
 CHUNK = streams._CHUNK
-# (drift time, drift width) per transition; the drifts straddle the block boundary
+# (drift time, drift width) per transition; the drifts straddle the block boundary, and
+# the edges of their ``_mix_window``s fall on it, beside it, before the stream and past its end
 DRIFTS = {"none": (), "abrupt": ((CHUNK, 1),), "gradual": ((CHUNK // 2, 2000),),
-          "two": ((3, 1), (CHUNK - 200, 2000))}
+          "two": ((3, 1), (CHUNK - 200, 2000)),
+          "edges-on-the-boundary": ((CHUNK - 10, 1), (CHUNK + 187, 1)),
+          "edges-inside-the-boundary": ((CHUNK - 11, 1), (CHUNK + 188, 1)),
+          "edges-outside-the-boundary": ((CHUNK - 9, 1), (CHUNK + 186, 1)),
+          "at-the-start": ((0, 7),), "past-the-end": ((CHUNK + 2, 1),),
+          "overlapping-windows": ((5, 3), (9, 2))}
 
 
 @pytest.mark.parametrize("drifts", DRIFTS.values(), ids=DRIFTS)
@@ -686,3 +702,27 @@ def test_a_parse_peaks_at_the_instances_it_returns(monkeypatch, layout):
         tracemalloc.stop()
     assert len(instances) == 20_000
     assert peak <= 1.25 * retained, f"peak {peak / retained:.2f}x the instances"
+
+
+class _Refused:
+    def __init__(self, *args):
+        raise RuntimeError("no instance")
+
+
+@pytest.mark.parametrize("build", ["builds", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("layout", BULK_LAYOUTS)
+def test_a_parse_leaves_the_collector_as_it_found_it(monkeypatch, layout, enabled, build):
+    parse, header, rows, _ = BULK_LAYOUTS[layout]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if build == "raises":
+            monkeypatch.setattr(streams, "Instance", _Refused)
+            with pytest.raises(RuntimeError, match="no instance"):
+                parse(_text(header, rows))
+        else:
+            assert len(parse(_text(header, rows))) == len(rows)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

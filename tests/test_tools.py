@@ -69,7 +69,20 @@ def test_ab_loop_of_the_checkout_against_itself(capsys, workload):
                      r"over 2 loads each$", out, re.MULTILINE)
     assert re.search(r"^  traced set-up: A peak \d+\.\d{3} MB, retained \d+\.\d{3} MB   "
                      r"B peak \d+\.\d{3} MB, retained \d+\.\d{3} MB$", out, re.MULTILINE)
+    assert re.search(r"^  import after numpy, fresh process: A \+\d+\.\d{3} MB   "
+                     r"B \+\d+\.\d{3} MB of peak RSS$", out, re.MULTILINE)
     assert "forecasts and drift logs identical" in out
+
+
+def test_ab_loop_import_rss_counts_what_a_tree_holds_at_import(tmp_path):
+    tree = tmp_path / "driftnet"
+    shutil.copytree(ab_loop.SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
+    init = tree / "__init__.py"
+    init.write_text(init.read_text(encoding="utf-8") + "\n_BALLAST = b'x' * (16 * 2**20)\n",
+                    encoding="utf-8")
+    plain = ab_loop.import_rss(ab_loop.SRC)
+    assert 0 < plain < 12
+    assert ab_loop.import_rss(tree) > plain + 15
 
 
 def test_ab_loop_given_a_path_that_is_not_a_package_is_a_usage_error(tmp_path, capsys):

@@ -36,7 +36,10 @@ Memory gets the same in-process pairing. ``ru_maxrss`` is one figure
 for the whole process, so before the timed passes each side loads its
 input once more, untimed, under ``tracemalloc``. The report gives each
 side's traced peak during that set-up and the memory still traced after
-it, which is what the loaded instances keep.
+it, which is what the loaded instances keep. Neither figure can see what
+importing a tree costs, since both trees share the process, so each side
+is also imported once in a fresh ``python3 -c`` that has imported numpy
+first, and the report gives the peak RSS that the import added there.
 """
 
 from __future__ import annotations
@@ -74,6 +77,33 @@ def import_tree(path: Path, name: str) -> types.ModuleType:
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return package
+
+
+# ru_maxrss would start from the parent's peak, which a child inherits
+# across exec on Linux; the VmHWM line of /proc/self/status is its own.
+_IMPORT_RSS = """\
+import importlib.util, sys
+import numpy
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+before = peak_kib()
+spec = importlib.util.spec_from_file_location(
+    "driftnet", sys.argv[1] + "/__init__.py", submodule_search_locations=[sys.argv[1]])
+package = importlib.util.module_from_spec(spec)
+sys.modules["driftnet"] = package
+spec.loader.exec_module(package)
+print(peak_kib() - before)
+"""
+
+
+def import_rss(path: Path) -> float:
+    """MB of peak RSS that importing the tree at ``path`` adds to a fresh process holding numpy."""
+    out = subprocess.run([sys.executable, "-c", _IMPORT_RSS, str(path)],
+                         check=True, capture_output=True, text=True).stdout
+    return int(out) / 1024
 
 
 def bind_workloads(tree: types.ModuleType) -> types.ModuleType:
@@ -189,6 +219,7 @@ def main(argv=None) -> int:
 def compare(a: Side, b: Side, args, tree_a: Path) -> int:
     """Run ``args.passes`` passes of set-up and loop on both sides; print the report."""
     (peak_a, kept_a), (peak_b, kept_b) = a.traced_load(), b.traced_load()
+    import_a, import_b = import_rss(tree_a), import_rss(SRC)
     setup_a = setup_b = total_a = total_b = 0
     ratios = []
     for pass_no in range(args.passes):
@@ -230,6 +261,7 @@ def compare(a: Side, b: Side, args, tree_a: Path) -> int:
           f"speedup {setup_a / setup_b:.3f}x over {args.passes} loads each")
     print(f"  traced set-up: A peak {peak_a / 2**20:.3f} MB, retained {kept_a / 2**20:.3f} MB   "
           f"B peak {peak_b / 2**20:.3f} MB, retained {kept_b / 2**20:.3f} MB")
+    print(f"  import after numpy, fresh process: A +{import_a:.3f} MB   B +{import_b:.3f} MB of peak RSS")
     print("  forecasts and drift logs identical")
     return 0
 
