@@ -283,17 +283,16 @@ def run_experiment_detailed(config: ExperimentConfig, max_workers: int = 1
     if config.data_path is not None and not os.path.isfile(config.data_path):
         raise FileNotFoundError(f"dataset file not found: {config.data_path}")
     seeds = sorted(set(config.seeds))
+    # a file stream does not depend on the seed: parse it once, and ship its two columns to a pool
+    parsed = _build_instances(config, seeds[0]) if config.data_path is not None else None
     if max_workers > 1 and len(seeds) > 1:
         # fork starts every worker up front, so never more than there are seeds
-        # each worker parses a data file itself: cheaper than pickling the parsed instances to it
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays for multiprocessing
 
         with ProcessPoolExecutor(max_workers=min(max_workers, len(seeds))) as pool:
-            futures = {seed: pool.submit(_run_single_seed, config, seed) for seed in seeds}
+            futures = {seed: pool.submit(_run_single_seed, config, seed, parsed) for seed in seeds}
             per_seed = {seed: futures[seed].result() for seed in seeds}
     else:
-        # a file stream does not depend on the seed: parse it once
-        parsed = _build_instances(config, seeds[0]) if config.data_path is not None else None
         per_seed = {seed: _run_single_seed(config, seed, parsed) for seed in seeds}
     rows: list[ResultRow] = []
     drift_entries: list[tuple[str, int, int]] = []

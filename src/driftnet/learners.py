@@ -223,8 +223,9 @@ class ExpertBank:
     same BLAS dot per row as ``w @ x``; a sum over ``W * xs`` would
     round differently. Buffers hold ``capacity + 1`` rows and are
     allocated once, at the move into rows, from the dimension of the
-    instance forecast. The dimension is checked once per call for all
-    rows, and once per trained learner written into a row.
+    instance forecast. The dimension is checked once per ``predict``
+    for all rows, which ``update`` then trusts, and once per trained
+    learner written into a row.
 
     The extra row holds the trainee, a newcomer that learns its
     warm-start window while the window arrives. ``open_trainee`` starts
@@ -384,11 +385,11 @@ class ExpertBank:
         return g.tolist()
 
     def update(self, x, y: float) -> None:
+        """Train every expert on (x, y); ``x`` is the one ``predict`` just took and checked."""
         if self._objects is not None:
             for learner in self._objects:
                 learner.update(x, y)
             return
-        _check_dimension(x, self._d)
         w, bias, mean, m2, inv_std, n, n_col, xs, tmp, g, g_col, s = self._rows
         n += 1.0
         np.subtract(x, mean, out=tmp)  # delta

@@ -34,24 +34,22 @@ block's features out of its draws, so that no row keeps the drift
 columns alive. Either way an instance's ``x`` is a C-contiguous row
 view of one float64 array that holds features alone.
 
-A parse holds the text, the dates and the table only until the numbers
-are read. They die with the frames that read them, before the first
-instance is built, so a parse peaks near the memory its instances keep.
-Rows already in date order are not copied to sort them. The instances
-are built with the cyclic garbage collector paused, so that their
-allocations set off no collection that walks the objects already alive.
+A parse keeps its two columns and nothing else: the feature matrix and
+the target list. It returns them as a read-only sequence that makes a
+new instance each time one is read, so the text, the dates and the
+table go as the parse returns, and no instance is built up front.
+Rows already in date order are not copied to sort them.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import chain, islice
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,7 +69,9 @@ class Instance:
     Experts trust it unchecked: ``x`` must be a finite 1-D float64 array
     and ``y`` a finite float, as the parsers and the generator ensure.
     It has slots, so it has no ``__dict__`` and takes no other
-    attribute, and two instances are equal only when they are one.
+    attribute, and two instances are equal only when they are one. A
+    parsed file makes a new one on every read, so two reads of a row
+    are two instances with the same fields.
     """
 
     x: np.ndarray
@@ -367,34 +367,31 @@ def _table(lines: list[str], rows, after: int, names: Sequence, delimiter: str, 
     return np.delete(table, target, axis=1), table[:, target].tolist()
 
 
-def _instances(x: np.ndarray, y: list[float]) -> list[Instance]:
-    """One instance per row of ``x`` and value of ``y``, indexed from 0.
+class _Parsed(Sequence):
+    """A parsed file's instances, made when read from its two columns.
 
-    The cyclic collector is paused while they are built, since their
-    allocations would set off collections that walk every tracked
-    object again and again; the caller's setting is restored after.
+    Item i is ``Instance(x[i], y[i], i)``, made anew on every read, so
+    the sequence keeps the feature matrix ``x`` and the target list ``y``
+    and no instance. An int index may be negative; a slice gives a list.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return list(map(Instance, x, y, range(len(y))))
-    finally:
-        if enabled:
-            gc.enable()
+
+    def __init__(self, x: np.ndarray, y: list[float]):
+        self.x, self.y = x, y
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __iter__(self) -> Iterator[Instance]:
+        return map(Instance, self.x, self.y, range(len(self.y)))
+
+    def __getitem__(self, i):
+        indices = range(len(self.y))[i]  # an int out of range raises IndexError here
+        if isinstance(i, slice):
+            return list(map(Instance, self.x[i], self.y[i], indices))
+        return Instance(self.x[indices], self.y[indices], indices)
 
 
-def _read_yahoo(source) -> tuple[np.ndarray, list[float]]:
-    """x and y of ``parse_yahoo_csv``; the text dies with this frame."""
-    lines = _lines(source)
-    rows = _rows(lines, ",")
-    first, last, header = next(rows, (1, 1, YAHOO_HEADER))  # an empty file has no rows to read
-    if tuple(h.strip() for h in header) != YAHOO_HEADER:
-        raise StreamFormatError(f"line {first}: expected header {','.join(YAHOO_HEADER)}, "
-                                f"got {','.join(header)!r}")
-    return _table(lines, rows, last, YAHOO_HEADER, ",", True, 3)
-
-
-def parse_yahoo_csv(source) -> list[Instance]:
+def parse_yahoo_csv(source) -> Sequence[Instance]:
     """Parse a Yahoo historical-quotes CSV into instances.
 
     ``source`` may be a string of CSV text or any iterable of lines
@@ -402,12 +399,29 @@ def parse_yahoo_csv(source) -> list[Instance]:
     then each becomes an Instance with features (Open, High, Low,
     Volume, Adj Close) and target y = Close. The date itself is used
     only for ordering. A nan or infinite cell is a StreamFormatError.
+    The result is a read-only sequence that makes each instance when it
+    is read; ``list()`` it for a list to change.
     """
-    return _instances(*_read_yahoo(source))
+    lines = _lines(source)
+    rows = _rows(lines, ",")
+    first, last, header = next(rows, (1, 1, YAHOO_HEADER))  # an empty file has no rows to read
+    if tuple(h.strip() for h in header) != YAHOO_HEADER:
+        raise StreamFormatError(f"line {first}: expected header {','.join(YAHOO_HEADER)}, "
+                                f"got {','.join(header)!r}")
+    return _Parsed(*_table(lines, rows, last, YAHOO_HEADER, ",", True, 3))
 
 
-def _read_regression(source, target_column) -> tuple[np.ndarray, list[float]]:
-    """x and y of ``parse_regression_csv``; the text dies with this frame."""
+def parse_regression_csv(source, target_column) -> Sequence[Instance]:
+    """Parse a rectangular numeric CSV with a nominated target column.
+
+    ``source`` is read, and the result returned, as by
+    ``parse_yahoo_csv``. ``target_column`` is either a column index
+    (int) or a header name (str; requires a header row). The first
+    non-blank row is a header when any of its non-empty cells fails to
+    parse as a number, and it sets the delimiter (';' or ',') and the
+    width. All remaining columns become features in file order. A nan
+    or infinite cell is a StreamFormatError.
+    """
     lines = _lines(source)
     # UCI-style files are often semicolon-separated; prefer whichever
     # separator actually splits the first non-blank line.
@@ -416,7 +430,7 @@ def _read_regression(source, target_column) -> tuple[np.ndarray, list[float]]:
     rows = _rows(lines, delimiter)
     first, last, cells = next(rows, (1, 1, None))
     if cells is None:
-        return np.empty((0, 0)), []
+        return _Parsed(np.empty((0, 0)), [])
 
     header: list[str] | None = None
     try:  # an empty cell is a missing value, not a name
@@ -439,18 +453,4 @@ def _read_regression(source, target_column) -> tuple[np.ndarray, list[float]]:
     n_cols = len(cells)
     if not -n_cols <= target_idx < n_cols:  # a negative index counts from the end
         raise StreamFormatError(f"target column index {target_idx} out of range for {n_cols} columns")
-    return _table(lines, rows, last, header or range(n_cols), delimiter, False, target_idx)
-
-
-def parse_regression_csv(source, target_column) -> list[Instance]:
-    """Parse a rectangular numeric CSV with a nominated target column.
-
-    ``source`` is read as by ``parse_yahoo_csv``. ``target_column`` is
-    either a column index (int) or a header name (str; requires a
-    header row). The first non-blank row is a header when any of its
-    non-empty cells fails to parse as a number, and it sets the
-    delimiter (';' or ',') and the width. All remaining columns become
-    features in file order. A nan or infinite cell is a
-    StreamFormatError.
-    """
-    return _instances(*_read_regression(source, target_column))
+    return _Parsed(*_table(lines, rows, last, header or range(n_cols), delimiter, False, target_idx))

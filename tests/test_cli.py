@@ -232,7 +232,7 @@ def test_run_of_a_file_with_no_data_rows_is_runtime_error(tmp_path, capsys, monk
     captured = capsys.readouterr()
     assert f"data file {str(data)!r} holds no data rows" in captured.err
     assert captured.out == ""
-    assert _RecordingPool.sizes == ([] if workers == "1" else [2])
+    assert _RecordingPool.sizes == []  # the file is parsed, and fails, before any pool starts
 
 
 def test_importing_the_package_loads_no_process_pool():

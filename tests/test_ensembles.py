@@ -456,7 +456,7 @@ def test_sgd_bank_guards_the_dimension_once_per_call(monkeypatch):
     monkeypatch.setattr(learners_module, "_check_dimension", lambda x, d: (checks.append(x), check(x, d)))
     x = np.array([0.2, 0.5, 0.9])
     ens.process(Instance(x=x, y=0.3, index=60))
-    assert len(checks) == 2  # one predict and one update for all three rows
+    assert len(checks) == 1  # predict checks all three rows, and update takes its x
     for bad in (np.array([0.5]), np.zeros(4)):
         with pytest.raises(ValueError, match="feature dimension changed"):
             ens.process(Instance(x=bad, y=0.3, index=61))

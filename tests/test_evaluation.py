@@ -328,7 +328,7 @@ def test_parallel_equals_serial(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_serial_run_parses_a_data_file_once(monkeypatch, tmp_path):
+def test_run_parses_a_data_file_once_for_every_seed_and_worker(monkeypatch, tmp_path):
     path = tmp_path / "quotes.csv"
     rng = make_rng(21)
     day = datetime.date(2014, 1, 2)
@@ -351,11 +351,10 @@ def test_serial_run_parses_a_data_file_once(monkeypatch, tmp_path):
             learner="ema", seeds=(1, 2, 3), report_every=100, window_size=100,
             adwin_check_interval=1, error_scale=1.0, record_timing=False,
             out=str(out), drift_log_out=str(log))
+        calls.clear()
         run_experiment_detailed(config, max_workers=workers)
-        if workers == 1:
-            assert len(calls) == 1
+        assert len(calls) == 1
         outputs.append((out.read_bytes(), log.read_bytes()))
-    # each parallel worker parses the file for its own seed
     assert outputs[0] == outputs[1]
     assert outputs[0][1].count(b"\n") > 1
 

@@ -5,6 +5,7 @@ import gc
 import io
 import math
 import pickle
+import sys
 import tracemalloc
 from datetime import date, timedelta
 
@@ -414,7 +415,7 @@ def test_csv_lone_carriage_return_reports_line():
 
 
 def test_csv_empty_input():
-    assert parse_regression_csv(io.StringIO(""), 0) == []
+    assert list(parse_regression_csv(io.StringIO(""), 0)) == []
 
 
 def test_csv_opening_with_blank_lines_keeps_its_delimiter_and_line_numbers():
@@ -525,7 +526,7 @@ def test_data_cell_over_two_lines_is_named_by_its_first_line(layout):
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("lines", [(), ("", "  ")], ids=["empty", "blank-lines"])
 def test_empty_input_reads_no_instances(layout, lines):
-    assert _parse(layout, *lines) == []
+    assert list(_parse(layout, *lines)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +678,32 @@ def test_bulk_step_reads_as_the_line_reader(monkeypatch, parse, text, case):
 
 
 # ---------------------------------------------------------------------------
-# A parse lets go of the text, the dates and the table before it builds
-# the instances, so its peak is the memory it keeps.
+# A parse keeps its two columns and makes each instance when it is read.
 # ---------------------------------------------------------------------------
+
+def _fields(instances):
+    return [(inst.x.tobytes(), inst.y, inst.index) for inst in instances]
+
+
+@pytest.mark.parametrize("layout", BULK_LAYOUTS)
+def test_a_parsed_file_reads_the_same_instances_every_way(layout):
+    parse, header, rows, _ = BULK_LAYOUTS[layout]
+    parsed = parse(_text(header, rows))
+    n = len(parsed)
+    want = _fields(parsed)
+    assert n == len(rows) and [index for _, _, index in want] == list(range(n))
+    assert _fields(parsed) == want  # a second iteration
+    assert _fields(list(parsed)) == want
+    assert _fields([parsed[i] for i in range(-n, n)]) == want + want
+    for cut in (slice(None, None, 2), slice(2, 1), slice(None, None, -1), slice(-2, None)):
+        assert type(parsed[cut]) is list and _fields(parsed[cut]) == want[cut]
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        assert _fields(pickle.loads(pickle.dumps(parsed, protocol))) == want
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            parsed[i]
+    assert parsed[0] is not parsed[0] and parsed[0] != parsed[0]
+
 
 def _long_text(layout, n=20_000):
     cells = np.random.default_rng(1).uniform(1.0, 100.0, (n, 6))
@@ -690,39 +714,36 @@ def _long_text(layout, n=20_000):
     return _text("a,b,c,d,e,y", [[f"{v:.6f}" for v in row] for row in cells])
 
 
+# a parse that built its 20,000 instances up front peaked at 5.60 to 5.61 MB
+# traced, on either layout (Python 3.11.7, numpy 2.4.6)
+PEAK_PER_ROW = 5.61e6 / 20_000
+
+
 @pytest.mark.parametrize("layout", BULK_LAYOUTS)
 def test_a_parse_peaks_at_the_instances_it_returns(monkeypatch, layout):
     source = io.StringIO(_long_text(layout))
     monkeypatch.setattr(streams, "_row_values", _refuse)  # the bulk step reads it all
     tracemalloc.start()
     try:
-        instances = BULK_LAYOUTS[layout][0](source)
+        parsed = BULK_LAYOUTS[layout][0](source)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(instances) == 20_000
-    assert peak <= 1.25 * retained, f"peak {peak / retained:.2f}x the instances"
+    assert len(parsed) == 20_000
+    columns = parsed.x.nbytes + sys.getsizeof(parsed.y) + sum(map(sys.getsizeof, parsed.y))
+    assert retained <= 1.05 * columns, f"retained {retained / columns:.3f}x the columns"
+    assert peak <= PEAK_PER_ROW * len(parsed), f"peak {peak / len(parsed):.1f} bytes a row"
 
 
-class _Refused:
-    def __init__(self, *args):
-        raise RuntimeError("no instance")
-
-
-@pytest.mark.parametrize("build", ["builds", "raises"])
+@pytest.mark.parametrize("build", ["builds"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
 @pytest.mark.parametrize("layout", BULK_LAYOUTS)
-def test_a_parse_leaves_the_collector_as_it_found_it(monkeypatch, layout, enabled, build):
+def test_a_parse_leaves_the_collector_as_it_found_it(layout, enabled, build):
     parse, header, rows, _ = BULK_LAYOUTS[layout]
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        if build == "raises":
-            monkeypatch.setattr(streams, "Instance", _Refused)
-            with pytest.raises(RuntimeError, match="no instance"):
-                parse(_text(header, rows))
-        else:
-            assert len(parse(_text(header, rows))) == len(rows)
+        assert len(parse(_text(header, rows))) == len(rows)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()

@@ -22,10 +22,12 @@ pass to pass. Both sides must load the same instances on every pass,
 or the tool exits 1. The pass then builds a fresh model and
 ``PrequentialWindow`` per side and feeds both the stream in alternating
 chunks of ``--chunk`` instances; which side takes a chunk first
-alternates too. Each instance costs ``process`` plus the
-window's ``update``, as in ``bench/run.py``. Interleaving puts both
-sides through the same fast and slow phases of the machine, which
-separate runs do not. Forecasts and drift logs must be identical, or
+alternates too. Each instance costs ``process`` plus the window's
+``update``, as in ``bench/run.py``. A chunk is read from the loaded
+instances inside the clock, so where a parsed file makes each instance
+when it is read, that cost is timed, as ``bench/run.py``'s ``loop_ns``
+times it. Interleaving puts both sides through the same fast and slow
+phases of the machine, which separate runs do not. Forecasts and drift logs must be identical, or
 the tool exits 1. It prints each side's path and total loop time, the
 speedup (A's time over B's) and the quartiles of the per-chunk ratio,
 then the total set-up time of each side and its speedup, and notes when
@@ -170,9 +172,8 @@ class Side:
     def run(self, lo: int, hi: int) -> int:
         """Test-then-train instances [lo, hi); return the nanoseconds it took."""
         process, score, preds = self.model.process, self.window.update, self.preds
-        batch = self.instances[lo:hi]
         t0 = time.perf_counter_ns()
-        for inst in batch:
+        for inst in self.instances[lo:hi]:  # a parsed file makes the chunk's instances here
             p = process(inst)
             score(p, inst.y)
             preds.append(p)
