@@ -14,10 +14,8 @@ hold, that the detector raises no false alarm at the drift, and that
 the ensemble does not lose to the single learner; see the README.
 """
 
-import itertools
 import math
 import time
-from collections import deque
 
 import numpy as np
 import pytest
@@ -37,6 +35,7 @@ from driftnet.learners import EmaForecaster, RunningMeanRegressor
 from driftnet.network import ExpertNetwork, attach_probabilities, weighted_sample_without_replacement
 from driftnet.prng import make_rng
 from driftnet.streams import sigmoid_mix_probability
+from test_twins import naive_splits_ok, splits_ok, worst_oracle_gaps
 
 SEEDS = tuple(range(1, 21))
 
@@ -45,33 +44,6 @@ SEEDS = tuple(range(1, 21))
 # A1: the retained detector window never contains a split that violates
 # the cut threshold, judged by an independent all-splits scan.
 # ---------------------------------------------------------------------------
-
-def _all_splits_ok(window: np.ndarray, delta: float, tol: float = 1e-12) -> bool:
-    """Vectorized all-splits scan, written against the cut formula
-    directly (threshold on |mean difference| at every split)."""
-    n = window.size
-    if n < 2:
-        return True
-    prefix = np.cumsum(window)
-    n0 = np.arange(1, n, dtype=float)
-    n1 = n - n0
-    mean_diff = np.abs(prefix[:-1] / n0 - (prefix[-1] - prefix[:-1]) / n1)
-    m = 1.0 / (1.0 / n0 + 1.0 / n1)
-    eps = np.sqrt(np.log(4.0 * n / delta) / (2.0 * m))
-    return not np.any(mean_diff - eps >= tol)
-
-
-def _naive_splits_ok(values, delta: float) -> bool:
-    n = len(values)
-    for split in range(1, n):
-        n0, n1 = split, n - split
-        mean0 = sum(values[:split]) / n0
-        mean1 = sum(values[split:]) / n1
-        m = 1.0 / (1.0 / n0 + 1.0 / n1)
-        if abs(mean0 - mean1) >= math.sqrt(math.log(4.0 * n / delta) / (2.0 * m)):
-            return False
-    return True
-
 
 def test_a01_adwin_window_invariant_against_split_oracle():
     delta = 0.1
@@ -94,14 +66,13 @@ def test_a01_adwin_window_invariant_against_split_oracle():
             pos += 1
             window = mirror[pos - det.width:pos]
             checks += 1
-            if not _all_splits_ok(window, delta):
+            if not splits_ok(window, delta, tol=1e-12):
                 violations += 1
             if t % 500 == 499:
                 assert list(window) == det.contents()
         # keep the vectorized scan honest against the naive one
         if trial == 0:
-            assert _naive_splits_ok(list(window[-200:]), delta) == _all_splits_ok(
-                window[-200:], delta)
+            assert naive_splits_ok(list(window[-200:]), delta) == splits_ok(window[-200:], delta, tol=1e-12)
     elapsed = time.perf_counter() - started
     print(f"A1 split-oracle scan: {violations} violations in {checks} checks, "
           f"{elapsed:.1f}s")
@@ -139,105 +110,16 @@ def test_a02_adwin_detection_delay_and_silence():
 # A3: centrality metrics against independent oracles.
 # ---------------------------------------------------------------------------
 
-def _random_adj(rng, max_nodes=8):
-    n = int(rng.integers(2, max_nodes + 1))
-    adj = {v: set() for v in range(n)}
-    for v in range(1, n):
-        parent = int(rng.integers(v))
-        adj[v].add(parent)
-        adj[parent].add(v)
-    for _ in range(int(rng.integers(0, n))):
-        u, v = int(rng.integers(n)), int(rng.integers(n))
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj
-
-
-def _oracle_closeness(adj):
-    n = len(adj)
-    out = {}
-    for s in adj:
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        out[s] = (n - 1) / sum(dist.values())
-    return out
-
-
-def _oracle_betweenness(adj):
-    n = len(adj)
-    raw = {v: 0.0 for v in adj}
-    if n < 3:
-        return raw
-    for s, t in itertools.combinations(sorted(adj), 2):
-        stack = [(s, [s])]
-        paths = []
-        while stack:
-            v, path = stack.pop()
-            if v == t:
-                paths.append(path)
-                continue
-            for u in adj[v]:
-                if u not in path:
-                    stack.append((u, path + [u]))
-        shortest = min(len(p) for p in paths)
-        sp = [p for p in paths if len(p) == shortest]
-        for v in adj:
-            if v not in (s, t):
-                raw[v] += sum(1 for p in sp if v in p) / len(sp)
-    scale = (n - 1) * (n - 2) / 2.0
-    return {v: raw[v] / scale for v in adj}
-
-
-def _oracle_eigenvector_dense(adj):
-    ids = sorted(adj)
-    n = len(ids)
-    a = np.zeros((n, n))
-    for i, v in enumerate(ids):
-        for u in adj[v]:
-            a[i, ids.index(u)] = 1.0
-    vec = np.full(n, 1.0 / math.sqrt(n))
-    shifted = a + np.eye(n)  # keeps the iteration from oscillating
-    for _ in range(100_000):
-        nxt = shifted @ vec
-        nxt /= np.linalg.norm(nxt)
-        if np.max(np.abs(nxt - vec)) < 1e-14:
-            vec = nxt
-            break
-        vec = nxt
-    return {v: abs(vec[i]) for i, v in enumerate(ids)}
-
-
 def test_a03_centrality_metrics_match_oracles():
-    rng = make_rng(333)
-    worst_b = worst_c = worst_e = 0.0
-    for _ in range(200):
-        adj = _random_adj(rng)
-        edges = {(min(u, v), max(u, v)) for u in adj for v in adj[u]}
-        net = ExpertNetwork.from_edges(sorted(adj), sorted(edges))
-        close = net.centrality("closeness")
-        between = net.centrality("betweenness")
-        eig = net.centrality("eigenvector")
-        for v, expected in _oracle_closeness(adj).items():
-            worst_c = max(worst_c, abs(close[v] - expected))
-        for v, expected in _oracle_betweenness(adj).items():
-            worst_b = max(worst_b, abs(between[v] - expected))
-        for v, expected in _oracle_eigenvector_dense(adj).items():
-            worst_e = max(worst_e, abs(eig[v] - expected))
+    worst = worst_oracle_gaps(make_rng(333), 200, ("closeness", "betweenness", "eigenvector"))
     star = ExpertNetwork.from_edges([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
     zeta = star.centrality("eigenvector")
     ratio = zeta[0] / zeta[1]
-    print(f"A3 worst deviations: closeness {worst_c:.2e}, betweenness "
-          f"{worst_b:.2e}, eigenvector {worst_e:.2e}; star ratio {ratio:.8f}")
-    assert worst_c < 1e-9
-    assert worst_b < 1e-9
-    assert worst_e < 1e-8
+    print(f"A3 worst deviations: closeness {worst['closeness']:.2e}, betweenness "
+          f"{worst['betweenness']:.2e}, eigenvector {worst['eigenvector']:.2e}; star ratio {ratio:.8f}")
+    assert worst["closeness"] < 1e-9
+    assert worst["betweenness"] < 1e-9
+    assert worst["eigenvector"] < 1e-8
     assert abs(ratio - math.sqrt(3.0)) < 1e-6
 
 

@@ -2,29 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from driftnet.adwin import Adwin, epsilon_cut
 from driftnet.prng import make_rng
-
-
-def naive_scan_ok(values, delta):
-    """Oracle: True iff no split of the window violates the cut threshold.
-
-    Deliberately naive (quadratic, plain Python sums) so it shares no
-    code with the detector's own scan.
-    """
-    n = len(values)
-    for split in range(1, n):
-        n0, n1 = split, n - split
-        mean0 = sum(values[:split]) / n0
-        mean1 = sum(values[split:]) / n1
-        m = 1.0 / (1.0 / n0 + 1.0 / n1)
-        eps = math.sqrt(math.log(4.0 * n / delta) / (2.0 * m))
-        if abs(mean0 - mean1) >= eps:
-            return False
-    return True
+from test_twins import OneValueAtATime, check_detector, naive_splits_ok
 
 
 def test_epsilon_cut_worked_value():
@@ -80,7 +62,7 @@ def test_window_invariant_matches_naive_oracle():
             if t == 150 and trial % 2 == 0:
                 level = rng.random()  # half the trials get a mid-stream step
             det.add(min(max(level + 0.2 * (rng.random() - 0.5), 0.0), 1.0))
-            assert naive_scan_ok(det.contents(), 0.1)
+            assert naive_splits_ok(det.contents(), 0.1)
 
 
 def test_clamping_is_counted_not_rejected():
@@ -143,47 +125,6 @@ def test_detection_count_accumulates():
     assert det.n_added == 2000
 
 
-class OneValueAtATime:
-    """Reference detector: the cut rule applied literally.
-
-    After every drop of the oldest value it rebuilds the window's sums
-    and re-tests every split, so it shares no scan state with the
-    detector. ``add`` returns ``(width_before, width_after)`` on a cut.
-    """
-
-    def __init__(self, delta, capacity, check_interval):
-        self.delta, self.capacity, self.check_interval = delta, capacity, check_interval
-        self.values = []
-        self.n_added = 0
-
-    def add(self, value):
-        self.values.append(min(max(value, 0.0), 1.0))
-        if len(self.values) > self.capacity:
-            del self.values[0]
-        self.n_added += 1
-        if self.n_added % self.check_interval != 0:
-            return None
-        width_before = len(self.values)
-        arr = np.array(self.values)
-        while arr.size >= 2:
-            n = arr.size
-            prefix = np.cumsum(arr)
-            total = prefix[-1]
-            n0 = np.arange(1, n, dtype=float)
-            n1 = n - n0
-            mean0 = prefix[:-1] / n0
-            mean1 = (total - prefix[:-1]) / n1
-            inv_2m = 0.5 * (1.0 / n0 + 1.0 / n1)
-            eps = np.sqrt(inv_2m * math.log(4.0 * n / self.delta))
-            if not (np.abs(mean0 - mean1) >= eps).any():
-                break
-            arr = arr[1:]
-        if arr.size == width_before:
-            return None
-        self.values = self.values[width_before - arr.size:]
-        return width_before, arr.size
-
-
 @pytest.mark.parametrize("check_interval", [1, 32])
 @pytest.mark.parametrize("capacity", [64, 2000])
 @pytest.mark.parametrize("steps", [False, True])
@@ -191,24 +132,11 @@ def test_cut_sequence_matches_one_value_at_a_time(check_interval, capacity, step
     # Levels near 0 and 1 with wide noise put clamped values in the window;
     # 3 x capacity additions make the buffer compact mid-stream.
     rng = make_rng(100 * capacity + 10 * check_interval + steps)
-    det = Adwin(delta=0.1, capacity=capacity, check_interval=check_interval)
-    ref = OneValueAtATime(0.1, capacity, check_interval)
     levels = [0.05, 0.95, 0.4, 0.9] if steps else [0.92]
-    cuts, ref_cuts = [], []
-    for t in range(3 * capacity):
-        level = levels[t * len(levels) // (3 * capacity)]
-        value = level + 0.5 * (rng.random() - 0.5)
-        if det.add(value):
-            cuts.append(det.last_cut)
-        ref_cut = ref.add(value)
-        if ref_cut is not None:
-            ref_cuts.append(ref_cut)
-        assert len(cuts) == len(ref_cuts), f"addition {t}"
-    assert cuts == ref_cuts
-    assert det.contents() == ref.values
-    assert det.n_clamped > 0
-    if steps:
-        assert len(cuts) >= 2
+    values = [levels[t * len(levels) // (3 * capacity)] + 0.5 * (rng.random() - 0.5)
+              for t in range(3 * capacity)]
+    counts = check_detector(0.1, capacity, check_interval, values)
+    assert counts["clamped detector values"] > 0 and counts["detector cuts"] >= 2 * steps
 
 
 @pytest.mark.parametrize("capacity", [2, 3])
@@ -220,14 +148,9 @@ def test_tiny_windows_scan_like_one_value_at_a_time(capacity):
     # because it also asks a stepped stream for two cuts.
     assert min(epsilon_cut(n0, n - n0, n, 0.999) for n in (2, 3) for n0 in range(1, n)) > 1.0
     rng = make_rng(capacity)
-    det = Adwin(delta=0.1, capacity=capacity, check_interval=1)
-    ref = OneValueAtATime(0.1, capacity, 1)
-    for t in range(200):
-        value = (0.0 if t % 20 < 10 else 1.0) + 0.5 * (rng.random() - 0.5)
-        assert det.add(value) is False
-        assert ref.add(value) is None
-        assert det.contents() == ref.values
-    assert det.n_clamped > 0
+    values = [(0.0 if t % 20 < 10 else 1.0) + 0.5 * (rng.random() - 0.5) for t in range(200)]
+    counts = check_detector(0.1, capacity, 1, values)
+    assert counts["detector cuts"] == 0 and counts["clamped detector values"] > 0
 
 
 def test_window_survives_eviction_and_compaction():

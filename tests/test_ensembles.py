@@ -18,7 +18,7 @@ from driftnet.learners import EmaForecaster, OnlineRegressor, RunningMeanRegress
 from driftnet.network import ExpertNetwork, NodeStats
 from driftnet.prng import make_rng
 from driftnet.streams import Instance
-from test_learners import _hostile_instance
+from test_twins import PassThrough, check_ensemble, hostile_instance, switching_stream
 
 
 class ConstantLearner(OnlineRegressor):
@@ -51,22 +51,6 @@ class CountingLearner(OnlineRegressor):
 
     def clone_fresh(self) -> "CountingLearner":
         return CountingLearner()
-
-
-class PassThrough(OnlineRegressor):
-    """Wrapper expert that only delegates, as the benchmark's timing wrapper does."""
-
-    def __init__(self, inner: OnlineRegressor):
-        self.inner = inner
-
-    def predict(self, x) -> float:
-        return self.inner.predict(x)
-
-    def update(self, x, y: float) -> None:
-        self.inner.update(x, y)
-
-    def clone_fresh(self) -> "PassThrough":
-        return PassThrough(self.inner.clone_fresh())
 
 
 def make_instances(values, dim=2):
@@ -379,13 +363,6 @@ def _assert_bank_storage(model, plain_sgd, index):
     assert (model.bank._objects is None) == (plain_sgd and rows)
 
 
-def switching_stream(rng, n, every, dim=3):
-    # the target's weights flip sign every ``every`` instances
-    w = np.array([0.8, -0.3, 0.4])
-    return [Instance(x=(x := rng.random(dim)), y=float((-1) ** (i // every) * (w @ x)), index=i)
-            for i in range(n)]
-
-
 @pytest.mark.parametrize("case", [
     dict(mode="period"),  # period 100 within buffer 200: the trainee sees whole periods
     dict(mode="adwin"),
@@ -405,44 +382,32 @@ def test_sgd_bank_matches_the_object_path(case, monkeypatch):
                adwin_check_interval=1, buffer_size=200)
     cfg.update(case)
     reassign_at = cfg.pop("reassign_at", None)
-    bank = ScaleFreeRegressor(SgdLinearRegressor(0.01), SfnrConfig(**cfg), seed=5)
-    loop = ScaleFreeRegressor(PassThrough(SgdLinearRegressor(0.01)), SfnrConfig(**cfg), seed=5)
-    stream = switching_stream(make_rng(14), 3000, 1000)
-    warm_starts = []
+    replayed_for = []  # the prototype's type per replayed window; the seed expert's is empty
     warm_start = learners_module.warm_start
-    monkeypatch.setattr(learners_module, "warm_start",
-                        lambda proto, window: (warm_starts.append(window), warm_start(proto, window))[1])
-    outputs, replays = [], []
-    for model in (bank, loop):
-        warm_starts.clear()
-        out = []
-        for inst in stream:
-            if inst.index == reassign_at:
-                model.learners = model.learners
-            out.append(model.process(inst))
-            # the setter's bank holds the SGD experts as objects
-            _assert_bank_storage(model, model is bank and (reassign_at is None or inst.index < reassign_at),
-                                 inst.index)
-            if cfg["mode"] == "period" and (inst.index + 1) % cfg["period"] == 0:
-                # every period end promotes or drops the trainee
-                assert not getattr(model.bank, "_trainee", False)
-        outputs.append(np.array(out))
-        replays.append(len(warm_starts))
-    assert outputs[0].tobytes() == outputs[1].tobytes()
-    assert bank.drift_log == loop.drift_log
-    assert bank.network.edges() == loop.network.edges()
+    monkeypatch.setattr(learners_module, "warm_start", lambda proto, window: (
+        window and replayed_for.append(type(proto)), warm_start(proto, window))[1])
+
+    def watch(model, inst):
+        # the setter's bank holds the SGD experts as objects
+        on_rows = type(model.prototype) is SgdLinearRegressor and inst.index < (reassign_at or 3000)
+        _assert_bank_storage(model, on_rows, inst.index)
+        if inst.index + 1 == reassign_at:
+            model.learners = model.learners
+        if cfg["mode"] == "period" and (inst.index + 1) % cfg["period"] == 0:
+            # every period end promotes or drops the trainee
+            assert not model.bank._trainee
+
+    _, bank = check_ensemble(lambda p: ScaleFreeRegressor(p, SfnrConfig(**cfg), seed=5),
+                             switching_stream(make_rng(14), 3000, 1000), 0.01, watch)
     evolutions = len(bank.drift_log)
     assert evolutions > cfg["k_max"]  # experts were evicted too
     if cfg["threshold"] > 0:
-        assert evolutions < len(stream) // cfg["period"]
+        assert evolutions < 3000 // cfg["period"]
     # the loop replays every window; in period mode the bank replays only
     # the first, into a bank of one, and those after it was replaced
-    if cfg["mode"] == "adwin":
-        assert replays == [evolutions, evolutions]
-    elif reassign_at is None:
-        assert replays == [1, evolutions]
-    else:
-        assert replays == [1 + sum(e.index > reassign_at for e in bank.drift_log), evolutions]
+    late = sum(e.index > (reassign_at or 3000) for e in bank.drift_log)
+    on_rows = evolutions if cfg["mode"] == "adwin" else 1 + late
+    assert [replayed_for.count(SgdLinearRegressor), replayed_for.count(PassThrough)] == [on_rows, evolutions]
 
 
 def test_sgd_bank_guards_the_dimension_once_per_call(monkeypatch):
@@ -634,19 +599,13 @@ def test_addexp_sgd_bank_matches_the_object_path(k_max):
     # the seed's first error, so the first newcomer joins at instance 1;
     # a fixed scale adds one at instance 0, beside the untrained seed.
     rng = make_rng(19)
-    stream = [Instance(x=x, y=y, index=t) for t in range(600) for x, y in [_hostile_instance(rng, t)]]
+    stream = [Instance(*hostile_instance(rng, t), index=t) for t in range(600)]
     for error_scale, first_addition in ((None, 1), (1e5, 0)):
-        bank = AddExpRegressor(SgdLinearRegressor(0.1), k_max=k_max, error_scale=error_scale)
-        loop = AddExpRegressor(PassThrough(SgdLinearRegressor(0.1)), k_max=k_max,
-                               error_scale=error_scale)
-        for inst in stream:
-            assert bank.process(inst) == loop.process(inst), inst.index
-            assert bank.weights == loop.weights, inst.index
-            _assert_bank_storage(bank, True, inst.index)
-            _assert_bank_storage(loop, False, inst.index)
+        _, bank = check_ensemble(
+            lambda p: AddExpRegressor(p, k_max=k_max, error_scale=error_scale), stream, 0.1,
+            lambda model, inst: _assert_bank_storage(model, type(model.prototype) is SgdLinearRegressor,
+                                                     inst.index))
         assert bank.drift_log[0] == DriftEvent(first_addition)
-        assert bank.predict(stream[0].x) == loop.predict(stream[0].x)
-        assert bank.drift_log == loop.drift_log
         assert len(bank.drift_log) > k_max  # experts were pruned too
 
 

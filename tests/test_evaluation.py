@@ -15,7 +15,6 @@ from driftnet.evaluation import (
     ResultRow,
     describe_presets,
     emit_csv,
-    emit_drift_log,
     parse_result_csv,
     run_experiment,
     run_experiment_detailed,

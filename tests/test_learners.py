@@ -9,6 +9,7 @@ import pytest
 from driftnet.learners import EmaForecaster, ExpertBank, RunningMeanRegressor, SgdLinearRegressor, warm_start
 from driftnet.prng import make_rng
 from driftnet.streams import Instance
+from test_twins import hostile_instance, learner_state
 
 X0 = np.zeros(1)  # EMA and mean learners ignore features
 
@@ -131,24 +132,20 @@ class _Unclipped(SgdLinearRegressor):
     _GRAD_CLIP = math.inf
 
 
-def _hostile_instance(rng, t):
-    # the scale of test_sgd_survives_a_million_hostile_updates, switching faster
-    scale = 1e6 if (t // 50) % 3 == 0 else 1.0
-    x = np.array([rng.random() * scale, rng.random() - 0.5, 3.25])
-    return x, (rng.random() - 0.5) * scale
-
-
 def _assert_bank_matches(bank, ref, x):
     assert bank.ids == list(ref)
     forecasts = np.array([learner.predict(x) for learner in ref.values()])
     assert np.array(bank.predict(x)).tobytes() == forecasts.tobytes()
-    for expert_id, row in bank.learners().items():
-        learner = ref[expert_id]
-        assert row.n_updates == learner.n_updates
-        if learner.n_updates:
-            assert row.bias == learner.bias
-            for name in ("weights", "_mean", "_m2", "_inv_std"):
-                assert getattr(row, name).tobytes() == getattr(learner, name).tobytes(), name
+    assert [learner_state(row) for row in bank.learners().values()] == list(map(learner_state, ref.values()))
+
+
+def _step(bank, ref, x, y):
+    """Train the bank and its scalar twins on (x, y), compared before and after."""
+    _assert_bank_matches(bank, ref, x)
+    bank.update(x, y)
+    for learner in ref.values():
+        learner.update(x, y)
+    _assert_bank_matches(bank, ref, x)
 
 
 @pytest.mark.parametrize("k_max", [2, 4])
@@ -160,7 +157,7 @@ def test_sgd_bank_is_byte_identical_to_scalar_learners(k_max):
     bank = ExpertBank(SgdLinearRegressor(0.1), k_max)
     ref: dict[int, SgdLinearRegressor] = {}
     history = []
-    x, y = _hostile_instance(rng, 0)
+    x, y = hostile_instance(rng, 0)
     for t in range(600):
         untrained = None
         if t == 0 or t % 60 == 30:
@@ -176,17 +173,13 @@ def test_sgd_bank_is_byte_identical_to_scalar_learners(k_max):
                 untrained = t
             bank.append(t, copy.deepcopy(fresh))  # the bank owns what it is given
             ref[t] = fresh
-        _assert_bank_matches(bank, ref, x)
         if untrained is not None:
             assert bank.predict(x)[-1] == 0.0
-        bank.update(x, y)
-        for learner in ref.values():
-            learner.update(x, y)
-        _assert_bank_matches(bank, ref, x)
+        _step(bank, ref, x, y)
         if untrained is not None:
             assert (bank.learners()[untrained]._inv_std == 1.0).all()
         history.append((x, y))
-        x, y = _hostile_instance(rng, t + 1)
+        x, y = hostile_instance(rng, t + 1)
     assert len(ref) == k_max
     # the stream is hostile enough that clipping changed the steps
     clipped, unclipped = SgdLinearRegressor(0.1), _Unclipped(0.1)
@@ -240,25 +233,19 @@ def test_sgd_bank_moves_into_rows_at_its_first_forecast_with_two_experts():
     bank = ExpertBank(SgdLinearRegressor(0.1), 4)
     ref = {0: SgdLinearRegressor(0.1)}
     bank.append(0, SgdLinearRegressor(0.1))
-    x, y = _hostile_instance(rng, 0)
-    for t in range(40):
+    for t in range(80):
+        x, y = hostile_instance(rng, t)
+        if t == 40:
+            bank.append(2, SgdLinearRegressor(0.1))  # straight into a row
+            ref[2] = SgdLinearRegressor(0.1)
         _assert_bank_matches(bank, ref, x)
         if t == 20:
-            bank.append(1, SgdLinearRegressor(0.1))
+            bank.append(1, SgdLinearRegressor(0.1))  # between a forecast and its update
             ref[1] = SgdLinearRegressor(0.1)
         bank.update(x, y)
         for learner in ref.values():
             learner.update(x, y)
         assert (bank._objects is None) == (t > 20)
-        x, y = _hostile_instance(rng, t + 1)
-    bank.append(2, SgdLinearRegressor(0.1))
-    ref[2] = SgdLinearRegressor(0.1)
-    for t in range(40, 80):
-        _assert_bank_matches(bank, ref, x)
-        bank.update(x, y)
-        for learner in ref.values():
-            learner.update(x, y)
-        x, y = _hostile_instance(rng, t + 1)
     _assert_bank_matches(bank, ref, x)
 
 
@@ -271,23 +258,8 @@ def test_sgd_bank_of_untrained_experts_moves_into_rows_at_its_first_forecast():
     for i in ref:
         bank.append(i, SgdLinearRegressor(0.1))
     for t in range(300):
-        x, y = _hostile_instance(rng, t)
-        forecasts = bank.predict(x)
+        _step(bank, ref, *hostile_instance(rng, t))
         assert bank._objects is None
-        assert np.array(forecasts).tobytes() == np.array([r.predict(x) for r in ref.values()]).tobytes()
-        bank.update(x, y)
-        for learner in ref.values():
-            learner.update(x, y)
-    _assert_bank_matches(bank, ref, x)
-
-
-def _assert_same_learner(a, b):
-    # every field but the scratch buffer, whose contents are not state
-    assert vars(a).keys() == vars(b).keys()
-    for name, value in vars(a).items():
-        if name != "_scratch":
-            other = getattr(b, name)
-            assert (value.tobytes() == other.tobytes()) if isinstance(value, np.ndarray) else value == other, name
 
 
 @pytest.mark.parametrize("capacity", [2, 3])
@@ -296,7 +268,7 @@ def test_sgd_bank_trainee_is_a_warm_start_without_the_replay(capacity):
     # the experts' rows as they were; promoted after a middle expert
     # leaves, it equals a scalar learner warm-started on what it saw
     rng = make_rng(47)
-    stream = [Instance(*_hostile_instance(rng, t), index=t) for t in range(400)]
+    stream = [Instance(*hostile_instance(rng, t), index=t) for t in range(400)]
     bank = ExpertBank(SgdLinearRegressor(0.1), capacity)
     ref = {}
     for i in range(capacity):
@@ -305,10 +277,7 @@ def test_sgd_bank_trainee_is_a_warm_start_without_the_replay(capacity):
 
     def run(instances):
         for inst in instances:
-            bank.update(inst.x, inst.y)
-            for learner in ref.values():
-                learner.update(inst.x, inst.y)
-            _assert_bank_matches(bank, ref, inst.x)  # the trainee stays out of sight
+            _step(bank, ref, inst.x, inst.y)  # the trainee stays out of sight
 
     bank.open_trainee()
     run(stream[200:260])
@@ -318,7 +287,7 @@ def test_sgd_bank_trainee_is_a_warm_start_without_the_replay(capacity):
     del ref[0]
     bank.add_trained(capacity, SgdLinearRegressor(0.1), stream[260:280])  # no trainee: a warm start
     ref[capacity] = warm_start(SgdLinearRegressor(0.1), stream[260:280])
-    _assert_same_learner(bank.learners()[capacity], ref[capacity])
+    assert learner_state(bank.learners()[capacity]) == learner_state(ref[capacity])
     bank.open_trainee()
     window = stream[280:400]
     run(window)
@@ -333,20 +302,20 @@ def test_sgd_bank_trainee_is_a_warm_start_without_the_replay(capacity):
         bank.add_trained(capacity + 1, SgdLinearRegressor(0.1), window[1:])
     bank.add_trained(capacity + 1, SgdLinearRegressor(0.1), window)
     ref[capacity + 1] = warm_start(SgdLinearRegressor(0.1), window)
-    _assert_same_learner(bank.learners()[capacity + 1], ref[capacity + 1])
+    assert learner_state(bank.learners()[capacity + 1]) == learner_state(ref[capacity + 1])
     run(stream[:30])
 
 
 def test_sgd_bank_of_one_opens_no_trainee():
     rng = make_rng(48)
-    window = [Instance(*_hostile_instance(rng, t), index=t) for t in range(50)]
+    window = [Instance(*hostile_instance(rng, t), index=t) for t in range(50)]
     bank = ExpertBank(SgdLinearRegressor(0.1), 3)
     bank.append(0, SgdLinearRegressor(0.1))
     bank.open_trainee()
     for inst in window:
         bank.update(inst.x, inst.y)
     bank.add_trained(1, SgdLinearRegressor(0.1), window)  # warm-started on the window instead
-    _assert_same_learner(bank.learners()[1], warm_start(SgdLinearRegressor(0.1), window))
+    assert learner_state(bank.learners()[1]) == learner_state(warm_start(SgdLinearRegressor(0.1), window))
 
 
 def test_running_mean_is_exact():

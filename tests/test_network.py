@@ -1,13 +1,11 @@
 """Expert-graph tests: attachment, rewiring, churn, centrality oracles."""
 
-import itertools
 import math
 from collections import deque
 
 import numpy as np
 import pytest
 
-from driftnet.evaluation import PrequentialWindow
 from driftnet.network import (
     CENTRALITY_METRICS,
     ExpertNetwork,
@@ -17,123 +15,7 @@ from driftnet.network import (
     weighted_sample_without_replacement,
 )
 from driftnet.prng import make_rng
-
-
-# ---------------------------------------------------------------------------
-# Independent oracles, sharing no code with the implementation.
-# ---------------------------------------------------------------------------
-
-def _bfs_dist(adj, source):
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in sorted(adj[v]):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
-
-
-def oracle_closeness(adj):
-    n = len(adj)
-    out = {}
-    for v in adj:
-        if n == 1:
-            out[v] = 1.0
-        else:
-            out[v] = (n - 1) / sum(_bfs_dist(adj, v).values())
-    return out
-
-
-def _all_simple_paths(adj, s, t):
-    paths = []
-    stack = [(s, [s])]
-    while stack:
-        v, path = stack.pop()
-        if v == t:
-            paths.append(path)
-            continue
-        for u in sorted(adj[v]):
-            if u not in path:
-                stack.append((u, path + [u]))
-    return paths
-
-
-def oracle_betweenness(adj):
-    """Exhaustive shortest-path enumeration, pair-normalized."""
-    n = len(adj)
-    raw = {v: 0.0 for v in adj}
-    if n < 3:
-        return raw
-    for s, t in itertools.combinations(sorted(adj), 2):
-        paths = _all_simple_paths(adj, s, t)
-        shortest = min(len(p) for p in paths)
-        sp = [p for p in paths if len(p) == shortest]
-        for v in adj:
-            if v == s or v == t:
-                continue
-            raw[v] += sum(1 for p in sp if v in p) / len(sp)
-    scale = (n - 1) * (n - 2) / 2.0
-    return {v: raw[v] / scale for v in adj}
-
-
-def oracle_eigenvector(adj):
-    ids = sorted(adj)
-    n = len(ids)
-    if n == 1:
-        return {ids[0]: 1.0}
-    index = {v: i for i, v in enumerate(ids)}
-    a = np.zeros((n, n))
-    for v in ids:
-        for u in adj[v]:
-            a[index[v], index[u]] = 1.0
-    _, vecs = np.linalg.eigh(a)
-    principal = np.abs(vecs[:, -1])
-    principal /= np.linalg.norm(principal)
-    return {v: principal[index[v]] for v in ids}
-
-
-def oracle_pagerank(adj, damping=0.85):
-    ids = sorted(adj)
-    n = len(ids)
-    if n == 1:
-        return {ids[0]: 1.0}
-    index = {v: i for i, v in enumerate(ids)}
-    m = np.zeros((n, n))
-    for v in ids:
-        share = 1.0 / len(adj[v])
-        for u in adj[v]:
-            m[index[u], index[v]] = share
-    pr = np.full(n, 1.0 / n)
-    for _ in range(100_000):
-        nxt = (1.0 - damping) / n + damping * (m @ pr)
-        if np.max(np.abs(nxt - pr)) < 1e-13:
-            pr = nxt
-            break
-        pr = nxt
-    return {v: pr[index[v]] for v in ids}
-
-
-def random_connected_graph(rng, max_nodes=8):
-    """Random tree plus a few chords; returns an adjacency dict."""
-    n = int(rng.integers(2, max_nodes + 1))
-    adj = {v: set() for v in range(n)}
-    for v in range(1, n):
-        parent = int(rng.integers(v))
-        adj[v].add(parent)
-        adj[parent].add(v)
-    for _ in range(int(rng.integers(0, n))):
-        u, v = rng.integers(n), rng.integers(n)
-        if u != v:
-            adj[int(u)].add(int(v))
-            adj[int(v)].add(int(u))
-    return adj
-
-
-def net_from_adj(adj):
-    edges = {(min(u, v), max(u, v)) for u in adj for v in adj[u]}
-    return ExpertNetwork.from_edges(sorted(adj), sorted(edges))
+from test_twins import check_windows, net_from_adj, random_connected_graph, window_errors, worst_oracle_gaps
 
 
 # ---------------------------------------------------------------------------
@@ -196,69 +78,10 @@ def test_node_stats_phi_matches_recomputation():
         assert abs(stats.phi - expected) < 1e-9
 
 
-class DequeWindow:
-    """Reference window: the deque-based squared-error window the ring replaced.
-
-    A literal copy, kept so the ring's every result can be compared for
-    byte equality with the code it stands for.
-    """
-
-    def __init__(self, length):
-        self._squares = deque(maxlen=length)
-        self._sum = 0.0
-        self._pushes = 0
-
-    def __len__(self):
-        return len(self._squares)
-
-    def record_error(self, error):
-        error = float(error)
-        sq = error * error
-        squares = self._squares
-        if len(squares) == squares.maxlen:
-            self._sum -= squares[0]
-        squares.append(sq)
-        self._sum += sq
-        self._pushes += 1
-        if self._pushes == squares.maxlen:
-            self._sum = math.fsum(squares)
-            self._pushes = 0
-
-    def rmse(self):
-        if not self._squares:
-            return 0.0
-        return math.sqrt(max(self._sum, 0.0) / len(self._squares))
-
-
-def _window_errors(length, kind, rng):
-    n = 3 * length + length // 2 + 2  # at least three wraps, ending mid-window
-    if kind == "zero":
-        return [0.0] * n
-    if kind == "tiny":
-        return [1e-150 * float(v) for v in rng.normal(size=n)]
-    if kind == "huge":
-        return [1e150 * float(v) for v in rng.normal(size=n)]
-    # huge errors among ordinary ones, so the running sum loses the
-    # ordinary ones when a huge square leaves the window
-    scale = np.where(rng.random(n) < 0.1, 1e150, 1.0)
-    return [float(s * v) for s, v in zip(scale, rng.normal(size=n))]
-
-
 @pytest.mark.parametrize("length", [1, 2, 7, 100])
 @pytest.mark.parametrize("kind", ["zero", "tiny", "huge", "mixed"])
 def test_error_windows_equal_the_deque_window_byte_for_byte(length, kind):
-    errors = _window_errors(length, kind, make_rng(length))
-    # the prequential window sees the same errors as forecast - truth
-    ref_node, ref_score = DequeWindow(length), DequeWindow(length)
-    node, score = NodeStats(window_len=length), PrequentialWindow(length)
-    assert node.phi == score.rmse() == 0.0 and len(node) == len(score) == 0
-    for t, e in enumerate(errors):
-        node.record_error(e)
-        ref_node.record_error(e)
-        ref_score.record_error(e)
-        assert score.update(e, 0.0) == ref_score.rmse(), t
-        assert node.phi == ref_node.rmse(), t
-        assert len(node) == len(ref_node) == len(score) == min(t + 1, length), t
+    check_windows(length, window_errors(length, kind, make_rng(length)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,22 +225,11 @@ def test_closeness_on_path():
 
 
 def test_centralities_match_oracles_on_random_graphs():
-    rng = make_rng(123)
-    for _ in range(60):
-        adj = random_connected_graph(rng)
-        net = net_from_adj(adj)
-        close = net.centrality("closeness")
-        between = net.centrality("betweenness")
-        eig = net.centrality("eigenvector")
-        page = net.centrality("pagerank")
-        for v, expected in oracle_closeness(adj).items():
-            assert abs(close[v] - expected) < 1e-9
-        for v, expected in oracle_betweenness(adj).items():
-            assert abs(between[v] - expected) < 1e-9
-        for v, expected in oracle_eigenvector(adj).items():
-            assert abs(eig[v] - expected) < 1e-8
-        for v, expected in oracle_pagerank(adj).items():
-            assert abs(page[v] - expected) < 1e-8
+    worst = worst_oracle_gaps(make_rng(123), 60, ("closeness", "betweenness", "eigenvector", "pagerank"))
+    assert worst["closeness"] < 1e-9
+    assert worst["betweenness"] < 1e-9
+    assert worst["eigenvector"] < 1e-8
+    assert worst["pagerank"] < 1e-8
 
 
 def test_pagerank_sums_to_one():

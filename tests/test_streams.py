@@ -26,6 +26,7 @@ from driftnet.streams import (
     parse_yahoo_csv,
     sigmoid_mix_probability,
 )
+from test_twins import CHUNK, DRIFTS, LENGTHS, fields, outcome, reference_stream, refuse, row_types_ok
 
 
 def test_concept_weights_are_unit_norm():
@@ -189,52 +190,21 @@ def test_zero_length_stream():
     assert list(generate_drift_stream(spec)) == []
 
 
-def _reference_stream(spec):
-    """The instance-by-instance loop the block generator replaced, kept as its oracle."""
-    rng = make_rng(spec.seed)
-    for t in range(spec.length):
-        x = rng.random(spec.dim)
-        active = 0
-        for j, (t0, width) in enumerate(zip(spec.drift_times, spec.drift_widths), 1):
-            if rng.random() < sigmoid_mix_probability(t, t0, width):
-                active = j
-        yield Instance(x=x, y=hyperplane_target(spec.concepts[active], x), index=t)
-
-
-CHUNK = streams._CHUNK
-# (drift time, drift width) per transition; the drifts straddle the block boundary, and
-# the edges of their ``_mix_window``s fall on it, beside it, before the stream and past its end
-DRIFTS = {"none": (), "abrupt": ((CHUNK, 1),), "gradual": ((CHUNK // 2, 2000),),
-          "two": ((3, 1), (CHUNK - 200, 2000)),
-          "edges-on-the-boundary": ((CHUNK - 10, 1), (CHUNK + 187, 1)),
-          "edges-inside-the-boundary": ((CHUNK - 11, 1), (CHUNK + 188, 1)),
-          "edges-outside-the-boundary": ((CHUNK - 9, 1), (CHUNK + 186, 1)),
-          "at-the-start": ((0, 7),), "past-the-end": ((CHUNK + 2, 1),),
-          "overlapping-windows": ((5, 3), (9, 2))}
-
-
-@pytest.mark.parametrize("drifts", DRIFTS.values(), ids=DRIFTS)
-@pytest.mark.parametrize("length", [0, 1, 7, CHUNK - 1, CHUNK, CHUNK + 1])
-def test_block_generator_matches_the_instance_loop(length, drifts):
-    for dim in (2, 3, 10):
-        for seed in (1, 2, 3, 4):
-            concepts = tuple(make_hyperplane_concept(10 * seed + j, dim) for j in range(len(drifts) + 1))
-            spec = DriftStreamSpec(concepts=concepts, drift_times=tuple(t for t, _ in drifts),
-                                   drift_widths=tuple(w for _, w in drifts), length=length, seed=seed)
-            got = [(inst.x.tobytes(), inst.y, inst.index) for inst in generate_drift_stream(spec)]
-            want = [(inst.x.tobytes(), inst.y, inst.index) for inst in _reference_stream(spec)]
-            assert got == want, (dim, seed)
-
-
-def _assert_row_types(instances):
-    for inst in instances:
-        assert type(inst.y) is float
-        assert inst.x.dtype == np.float64 and inst.x.ndim == 1 and inst.x.flags.c_contiguous
+@pytest.mark.parametrize("name", DRIFTS)
+@pytest.mark.parametrize("length", LENGTHS)
+def test_block_generator_matches_the_instance_loop(length, name):
+    # the differential harness's generator pass: this table at this length, in a drawn dim and seed
+    rng = make_rng(LENGTHS.index(length) * len(DRIFTS) + list(DRIFTS).index(name))
+    dim, seed, drifts = int(rng.integers(2, 21)), int(rng.integers(2 ** 32)), DRIFTS[name]
+    concepts = tuple(make_hyperplane_concept(seed + j, dim) for j in range(len(drifts) + 1))
+    spec = DriftStreamSpec(concepts=concepts, drift_times=tuple(t for t, _ in drifts),
+                           drift_widths=tuple(w for _, w in drifts), length=length, seed=seed)
+    assert fields(generate_drift_stream(spec)) == fields(reference_stream(spec)), (dim, seed)
 
 
 def test_generated_instances_hold_a_float_target_and_a_contiguous_float64_row():
     spec = _two_concept_spec(length=CHUNK + 5, t0=CHUNK, width=300)
-    _assert_row_types(generate_drift_stream(spec))
+    assert row_types_ok(generate_drift_stream(spec))
 
 
 def test_generation_is_lazy():
@@ -650,29 +620,11 @@ def _bulk_cases():
             yield pytest.param(parse, make(header, rows, col), name, id=f"{layout}-{name}")
 
 
-def _refuse(*args, **kwargs):
-    raise ValueError("left to the line reader")
-
-
-def _outcome(parse, text):
-    try:
-        instances = parse(text)
-    except StreamFormatError as exc:
-        return str(exc)
-    _assert_row_types(instances)
-    return [(inst.x.tobytes(), inst.y, inst.index) for inst in instances]
-
-
 @pytest.mark.parametrize("parse,text,case", _bulk_cases())
-def test_bulk_step_reads_as_the_line_reader(monkeypatch, parse, text, case):
-    with monkeypatch.context() as patch:
-        patch.setattr(streams, "_columns", _refuse)  # the line reader alone
-        expected = _outcome(parse, text)
-    row_values = streams._row_values
-    read_by_row = []
-    monkeypatch.setattr(streams, "_row_values",
-                        lambda *args: read_by_row.append(args) or row_values(*args))
-    assert _outcome(parse, text) == expected
+def test_bulk_step_reads_as_the_line_reader(parse, text, case):
+    expected, _ = outcome(parse, text, bulk=False)
+    got, read_by_row = outcome(parse, text)
+    assert got == expected
     if case in TAKE_THE_BULK_STEP:
         assert not read_by_row and expected
 
@@ -681,24 +633,20 @@ def test_bulk_step_reads_as_the_line_reader(monkeypatch, parse, text, case):
 # A parse keeps its two columns and makes each instance when it is read.
 # ---------------------------------------------------------------------------
 
-def _fields(instances):
-    return [(inst.x.tobytes(), inst.y, inst.index) for inst in instances]
-
-
 @pytest.mark.parametrize("layout", BULK_LAYOUTS)
 def test_a_parsed_file_reads_the_same_instances_every_way(layout):
     parse, header, rows, _ = BULK_LAYOUTS[layout]
     parsed = parse(_text(header, rows))
     n = len(parsed)
-    want = _fields(parsed)
+    want = fields(parsed)
     assert n == len(rows) and [index for _, _, index in want] == list(range(n))
-    assert _fields(parsed) == want  # a second iteration
-    assert _fields(list(parsed)) == want
-    assert _fields([parsed[i] for i in range(-n, n)]) == want + want
+    assert fields(parsed) == want  # a second iteration
+    assert fields(list(parsed)) == want
+    assert fields([parsed[i] for i in range(-n, n)]) == want + want
     for cut in (slice(None, None, 2), slice(2, 1), slice(None, None, -1), slice(-2, None)):
-        assert type(parsed[cut]) is list and _fields(parsed[cut]) == want[cut]
+        assert type(parsed[cut]) is list and fields(parsed[cut]) == want[cut]
     for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
-        assert _fields(pickle.loads(pickle.dumps(parsed, protocol))) == want
+        assert fields(pickle.loads(pickle.dumps(parsed, protocol))) == want
     for i in (n, -n - 1):
         with pytest.raises(IndexError):
             parsed[i]
@@ -722,7 +670,7 @@ PEAK_PER_ROW = 5.61e6 / 20_000
 @pytest.mark.parametrize("layout", BULK_LAYOUTS)
 def test_a_parse_peaks_at_the_instances_it_returns(monkeypatch, layout):
     source = io.StringIO(_long_text(layout))
-    monkeypatch.setattr(streams, "_row_values", _refuse)  # the bulk step reads it all
+    monkeypatch.setattr(streams, "_row_values", refuse)  # the bulk step reads it all
     tracemalloc.start()
     try:
         parsed = BULK_LAYOUTS[layout][0](source)
