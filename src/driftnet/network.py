@@ -100,7 +100,8 @@ class SquaredErrorWindow:
     A push overwrites one slot of a list ring (0.0 until first written,
     filled from the end), subtracting the old square and adding the new.
     When the position wraps, once per window length of pushes, the sum
-    is exactly re-summed with ``fsum``, so float drift never accumulates.
+    is exactly re-summed with ``fsum``, so float drift never accumulates,
+    and from then on ``_full`` holds the window length (0 before).
     """
 
     __slots__ = ("_ring", "_sum", "_pos", "_full")
@@ -109,10 +110,10 @@ class SquaredErrorWindow:
         self._ring = [0.0] * length
         self._sum = 0.0
         self._pos = length - 1  # the slot the next push overwrites
-        self._full = False
+        self._full = 0
 
     def __len__(self) -> int:
-        return len(self._ring) if self._full else len(self._ring) - 1 - self._pos
+        return self._full or len(self._ring) - 1 - self._pos
 
     def record_error(self, error: float) -> None:
         error = float(error)
@@ -125,12 +126,12 @@ class SquaredErrorWindow:
             self._pos = pos - 1
         else:
             self._sum = math.fsum(ring)
-            self._full = True
+            self._full = len(ring)
             self._pos = len(ring) - 1
 
     def rmse(self) -> float:
         """RMSE over the window; 0 while it is empty."""
-        n = len(self)
+        n = self._full or len(self._ring) - 1 - self._pos  # len(self), without the call
         return math.sqrt(max(self._sum, 0.0) / n) if n else 0.0
 
 

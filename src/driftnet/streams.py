@@ -20,12 +20,15 @@ numbers under one rule: a row of the wrong width, a bad date, or a
 cell that is not a finite number is a StreamFormatError naming its
 line. A row of empty cells is not blank, so it is such an error too.
 
-The reader reads the numbers in bulk: one ``np.loadtxt`` over the data
-lines, after a check that every line is as wide as the first row. Where
-that step cannot read a file (a quoted cell, ``1_000``, a carriage
-return, an empty or non-finite cell, a line of another width), the
-same reader reads it again line by line, and that path alone writes
-the error messages, so each one still names its line and column. The
+The reader reads its source once, in blocks of 8,192 lines, and reads
+each block in bulk: one ``np.loadtxt`` over its data lines, after a
+check that every line is as wide as the first row. Where that step
+cannot read a block (a quoted cell, ``1_000``, a carriage return, an
+empty or non-finite cell, a line of another width), the line reader
+reads the rest of the source from that block's first line, and that
+path alone writes the error messages, so each one still names its line
+and column. It can start there because a block read in bulk holds no
+quote and no carriage return, so each of its lines is a whole row. The
 generator, likewise, draws and computes blocks of instances at once,
 with the same draws in the same order as one instance at a time. It
 evaluates a drift's mix probability only in a window of times, outside
@@ -35,17 +38,18 @@ columns alive. Either way an instance's ``x`` is a C-contiguous row
 view of one float64 array that holds features alone.
 
 A parse keeps its two columns and nothing else: the feature matrix and
-the target list. It returns them as a read-only sequence that makes a
-new instance each time one is read, so the text, the dates and the
-table go as the parse returns, and no instance is built up front.
-Rows already in date order are not copied to sort them.
+the target list. A block's text, dates and table go once its columns
+are taken, so a parse holds one block of text at a time. It returns the
+columns as a read-only sequence that makes a new instance each time one
+is read, so no instance is built up front. Rows already in date order
+are not copied to sort them.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
+import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from datetime import date
@@ -262,41 +266,58 @@ def generate_drift_stream(spec: DriftStreamSpec) -> Iterator[Instance]:
         yield from map(Instance, x, y.tolist(), times)
 
 
-def _lines(source) -> list[str]:
-    """The physical lines of ``source``, each with its line end.
+def _lines(source) -> Iterator[str]:
+    """The physical lines of ``source``, each with its line end, read once as they are taken.
 
-    CSV text is split after every newline; any other iterable of lines
+    CSV text is split after every ``"\\n"`` and nowhere else, so a
+    carriage return stays inside its line; any other iterable of lines
     (an open file works) is taken line by line as it comes.
     """
-    return io.StringIO(source).readlines() if isinstance(source, str) else list(source)
+    if isinstance(source, str):
+        return (match[0] for match in re.finditer(".*\n|.+", source))  # "." is all but "\n"
+    return iter(source)
 
 
-def _rows(lines: list[str], delimiter: str) -> Iterator[tuple[int, int, list[str]]]:
+def _opening(lines: Iterator[str]) -> tuple[int, list[str]]:
+    """Take ``lines`` up to the first non-blank one: how many came before it, and [that line].
+
+    The lines before the first non-blank one are blank in any delimiter,
+    so the csv reader starts there. When every line is blank it is
+    given them all, from line 1, and a lone carriage return among them
+    is still an error.
+    """
+    blank = []
+    for line in lines:
+        if line.strip():
+            return len(blank), [line]
+        blank.append(line)
+    return 0, blank
+
+
+def _rows(lines, delimiter: str, before: int) -> Iterator[tuple[int, int, list[str]]]:
     """(first line, last line, cells) for every row of ``lines`` that is not blank.
 
-    Lines are physical lines, counted from the csv reader's
-    ``line_num``, so a row whose quoted cell spans lines is named by its
-    first line, and the next row's number counts every line before it.
-    A blank row is an empty line or a single whitespace cell; a row of
-    empty cells is not blank, and fails where its cells are read. The
-    lines before the first non-blank one are blank in any delimiter, so
-    the reader starts there. A line the csv module cannot read (a lone
+    ``lines`` follow physical line ``before``, and lines are counted
+    from the csv reader's ``line_num``, so a row whose quoted cell spans
+    lines is named by its first line, and the next row's number counts
+    every line before it. A blank row is an empty line or a single
+    whitespace cell; a row of empty cells is not blank, and fails where
+    its cells are read. A line the csv module cannot read (a lone
     carriage return) is a StreamFormatError naming it.
     """
-    start = next((i for i, line in enumerate(lines) if line.strip()), 0)
-    reader = csv.reader(islice(lines, start, None), delimiter=delimiter)
-    last = start
+    reader = csv.reader(lines, delimiter=delimiter)
+    last = before
     try:
         for cells in reader:
-            first, last = last + 1, start + reader.line_num
+            first, last = last + 1, before + reader.line_num
             if cells and (len(cells) > 1 or cells[0].strip()):
                 yield first, last, cells
     except csv.Error as exc:
-        raise StreamFormatError(f"line {start + reader.line_num}: {exc}") from None
+        raise StreamFormatError(f"line {before + reader.line_num}: {exc}") from None
 
 
 def _row_values(cells: list[str], names: Sequence, lineno: int, dated: bool) -> list:
-    """The cells as values, one per name: floats, after a date when ``dated``.
+    """The cells as values, one per name: floats, after a date's ordinal when ``dated``.
 
     A row of the wrong width, a first cell that is not an ISO date when
     ``dated``, or the first other cell that is not a finite number, is a
@@ -307,7 +328,7 @@ def _row_values(cells: list[str], names: Sequence, lineno: int, dated: bool) -> 
     values = []
     if dated:
         try:
-            values.append(date.fromisoformat(cells[0].strip()))
+            values.append(date.fromisoformat(cells[0].strip()).toordinal())
         except ValueError as exc:
             raise StreamFormatError(f"line {lineno}: bad date {cells[0]!r}: {exc}") from None
     for cell, name in zip(cells[dated:], names[dated:]):
@@ -322,49 +343,68 @@ def _row_values(cells: list[str], names: Sequence, lineno: int, dated: bool) -> 
     return values
 
 
-def _columns(lines: list[str], after: int, width: int, delimiter: str,
-             dated: bool) -> tuple[list[date] | None, np.ndarray]:
-    """The non-blank lines after line ``after``, read in bulk: their dates (or None) and numbers.
+def _columns(block: list[str], width: int, delimiter: str,
+             dated: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """A block of lines read in bulk: the ordinals of their dates (or None) and their numbers.
 
     Raises ValueError wherever only ``_rows`` can say what the lines
-    hold: there are none, a line holds a carriage return or is not
+    hold: none is blank, a line holds a carriage return or is not
     ``width`` cells wide, a cell is not a finite number that
     ``np.loadtxt`` reads (a quoted cell, ``1_000``, an empty cell), or
     with ``dated`` a first cell is not an ISO date.
     """
-    data = [line for line in lines[after:] if line.strip()]
+    data = [line for line in block if line.strip()]
     # loadtxt ignores the cells past ``usecols``, so the width is checked here
-    if not data or any(line.count(delimiter) != width - 1 or "\r" in line for line in data):
-        raise ValueError("no lines, or a line the bulk step does not read")
+    if not data or any("\r" in line for line in block) or any(
+            line.count(delimiter) != width - 1 for line in data):
+        raise ValueError("no data, or a line the bulk step does not read")
     table = np.loadtxt(data, delimiter=delimiter, comments=None, quotechar=None, ndmin=2,
                        usecols=range(dated, width))
     if not np.isfinite(table).all():
         raise ValueError("a non-finite cell")
-    days = [date.fromisoformat(line.partition(delimiter)[0].strip()) for line in data] if dated else None
+    days = np.fromiter((date.fromisoformat(line.partition(delimiter)[0].strip()).toordinal()
+                        for line in data), np.int64, len(data)) if dated else None
     return days, table
 
 
-def _table(lines: list[str], rows, after: int, names: Sequence, delimiter: str, dated: bool,
-           target: int) -> tuple[np.ndarray, list[float]]:
-    """The features x (one row each) and targets y of the data rows after line ``after``.
+_BLOCK = 8192  # data lines read in bulk at a time, so a parse holds one block of text
 
-    ``rows`` is ``_rows`` over the same ``lines``, past the header. There
-    is one column per name; with ``dated`` the first holds ISO dates,
-    which sort the rows stably and are then dropped. Of the numbers in
-    a row, the one at ``target`` is y and the others, in order, are x.
-    The bulk step reads the lines where it can; anything else is read
-    row by row by ``_row_values``, which alone writes the error
-    messages. The dates and the table die with this frame.
+
+def _table(lines: Iterator[str], after: int, names: Sequence, delimiter: str, dated: bool,
+           target: int) -> tuple[np.ndarray, list[float]]:
+    """The features x (one row each) and targets y of ``lines``, the physical lines after line ``after``.
+
+    There is one column per name; with ``dated`` the first holds ISO
+    dates, which sort the rows stably and are then dropped. Of the
+    numbers in a row, the one at ``target`` is y and the others, in
+    order, are x. ``lines`` are read once, in blocks of ``_BLOCK``: the
+    bulk step reads each block it can, and only the block's columns are
+    kept. From the first block it cannot read, ``_rows`` and
+    ``_row_values`` read the rest row by row, and they alone write the
+    error messages. The csv reader may start there, since a block the
+    bulk step read holds no quote and no carriage return, so each of its
+    lines is a whole row.
     """
-    try:
-        days, table = _columns(lines, after, len(names), delimiter, dated)
-    except ValueError:  # the line reader reads what the bulk step cannot, or names the line at fault
-        values = [_row_values(cells, names, first, dated) for first, _, cells in rows]
-        table = np.array([row[dated:] for row in values], dtype=float).reshape(-1, len(names) - dated)
-        days = [row[0] for row in values] if dated else None
-    if dated and days != sorted(days):  # a stable sort of dates in order is the identity
-        table = table[sorted(range(len(days)), key=days.__getitem__)]
-    return np.delete(table, target, axis=1), table[:, target].tolist()
+    x, y, days = [np.empty((0, len(names) - dated - 1))], [np.empty(0)], [np.empty(0, np.int64)]
+    for block in iter(lambda: list(islice(lines, _BLOCK)), []):
+        try:
+            day, table = _columns(block, len(names), delimiter, dated)
+        except ValueError:  # the line reader reads from this block on, or names the line at fault
+            rows = _rows(chain(block, lines), delimiter, after)
+            table = np.array([_row_values(cells, names, first, dated) for first, _, cells in rows],
+                             dtype=float).reshape(-1, len(names))
+            day, table = table[:, 0].astype(np.int64) if dated else None, table[:, dated:]
+        x.append(np.delete(table, target, axis=1))
+        y.append(table[:, target].copy())
+        days.append(day)
+        after += len(block)
+    x, y = np.concatenate(x), np.concatenate(y)  # each list of blocks goes as its name is rebound
+    if dated:
+        days = np.concatenate(days)
+        if (days[1:] < days[:-1]).any():  # a stable sort of dates in order is the identity
+            order = np.argsort(days, kind="stable")
+            x, y = x[order], y[order]
+    return x, y.tolist()
 
 
 class _Parsed(Sequence):
@@ -395,20 +435,22 @@ def parse_yahoo_csv(source) -> Sequence[Instance]:
     """Parse a Yahoo historical-quotes CSV into instances.
 
     ``source`` may be a string of CSV text or any iterable of lines
-    (an open file works). Rows are re-sorted by Date ascending, stably,
-    then each becomes an Instance with features (Open, High, Low,
-    Volume, Adj Close) and target y = Close. The date itself is used
+    (an open file, or a generator, which is read once). Rows are
+    re-sorted by Date ascending, stably, then each becomes an Instance
+    with features (Open, High, Low, Volume, Adj Close) and target
+    y = Close. The date itself is used
     only for ordering. A nan or infinite cell is a StreamFormatError.
     The result is a read-only sequence that makes each instance when it
     is read; ``list()`` it for a list to change.
     """
     lines = _lines(source)
-    rows = _rows(lines, ",")
+    before, opening = _opening(lines)
+    rows = _rows(chain(opening, lines), ",", before)
     first, last, header = next(rows, (1, 1, YAHOO_HEADER))  # an empty file has no rows to read
     if tuple(h.strip() for h in header) != YAHOO_HEADER:
         raise StreamFormatError(f"line {first}: expected header {','.join(YAHOO_HEADER)}, "
                                 f"got {','.join(header)!r}")
-    return _Parsed(*_table(lines, rows, last, YAHOO_HEADER, ",", True, 3))
+    return _Parsed(*_table(lines, last, YAHOO_HEADER, ",", True, 3))
 
 
 def parse_regression_csv(source, target_column) -> Sequence[Instance]:
@@ -423,11 +465,13 @@ def parse_regression_csv(source, target_column) -> Sequence[Instance]:
     or infinite cell is a StreamFormatError.
     """
     lines = _lines(source)
+    before, opening = _opening(lines)
     # UCI-style files are often semicolon-separated; prefer whichever
     # separator actually splits the first non-blank line.
-    first_line = next(filter(str.strip, lines), "")
+    first_line = "".join(opening)
     delimiter = ";" if first_line.count(";") > first_line.count(",") else ","
-    rows = _rows(lines, delimiter)
+    taken = []  # the lines the first row's reader takes, from line before + 1 on
+    rows = _rows((taken.append(line) or line for line in chain(opening, lines)), delimiter, before)
     first, last, cells = next(rows, (1, 1, None))
     if cells is None:
         return _Parsed(np.empty((0, 0)), [])
@@ -435,8 +479,8 @@ def parse_regression_csv(source, target_column) -> Sequence[Instance]:
     header: list[str] | None = None
     try:  # an empty cell is a missing value, not a name
         list(map(float, filter(str.strip, cells)))
-        rows = chain([(first, last, cells)], rows)
-        last = first - 1  # no header: the data start at this row
+        lines = chain(taken[first - before - 1:], lines)  # no header: the data start at this row
+        last = first - 1
     except ValueError:
         header = [h.strip() for h in cells]
 
@@ -453,4 +497,4 @@ def parse_regression_csv(source, target_column) -> Sequence[Instance]:
     n_cols = len(cells)
     if not -n_cols <= target_idx < n_cols:  # a negative index counts from the end
         raise StreamFormatError(f"target column index {target_idx} out of range for {n_cols} columns")
-    return _Parsed(*_table(lines, rows, last, header or range(n_cols), delimiter, False, target_idx))
+    return _Parsed(*_table(lines, last, header or range(n_cols), delimiter, False, target_idx))

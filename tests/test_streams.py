@@ -312,6 +312,15 @@ def test_yahoo_lone_carriage_return_reports_line():
         parse_yahoo_csv(bad)
 
 
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"])
+def test_text_is_split_only_after_newlines(separator):
+    # str.splitlines would end a line at each of these, and the row would lose a field
+    bad = YAHOO_TEXT + f"2014-01-07,2{separator}0,20.5,19.5,20.2,1500,20.1\n"
+    with pytest.raises(StreamFormatError) as exc:
+        parse_yahoo_csv(bad)
+    assert str(exc.value) == f"line 5: non-numeric cell {'2' + separator + '0'!r} in column 'Open'"
+
+
 # ---------------------------------------------------------------------------
 # Generic numeric CSV ingestion.
 # ---------------------------------------------------------------------------
@@ -585,6 +594,7 @@ BULK_CASES = {
     "row-of-empty-cells": lambda header, rows, col: _text(header, [rows[0], [""] * len(rows[0]), rows[2]]),
     "data-cell-over-two-lines": _cell_case('"1.5\n"'),
     "crlf-str": lambda header, rows, col: _text(header, rows).replace("\n", "\r\n"),
+    "blank-line-with-carriage-return": lambda header, rows, col: _text(header, rows).replace("\n", "\n \r \n", 2),
     "leading-blank-line-with-carriage-return": lambda header, rows, col: " \r \n" + _text(header, rows),
     "header-alone": lambda header, rows, col: header + "\n",
     "empty": lambda header, rows, col: "",
@@ -681,6 +691,43 @@ def test_a_parse_peaks_at_the_instances_it_returns(monkeypatch, layout):
     columns = parsed.x.nbytes + sys.getsizeof(parsed.y) + sum(map(sys.getsizeof, parsed.y))
     assert retained <= 1.05 * columns, f"retained {retained / columns:.3f}x the columns"
     assert peak <= PEAK_PER_ROW * len(parsed), f"peak {peak / len(parsed):.1f} bytes a row"
+
+
+# the 20,000-row text of the test above, read in blocks: 138.3 bytes a row (quotes) and
+# 135.9 (numeric), from either source; read whole, 277.6 and 238.0 from an iterable of
+# lines, 350.0 and 355.0 from text (Python 3.11.7, numpy 2.4.6)
+BLOCK_PEAK_PER_ROW = 170
+
+
+@pytest.mark.parametrize("source", [io.StringIO, str], ids=["lines", "text"])
+@pytest.mark.parametrize("layout", BULK_LAYOUTS)
+def test_a_parse_holds_one_block_of_text_at_a_time(monkeypatch, layout, source):
+    source = source(_long_text(layout))
+    monkeypatch.setattr(streams, "_row_values", refuse)  # the bulk step reads it all
+    tracemalloc.start()
+    try:
+        parsed = BULK_LAYOUTS[layout][0](source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == 20_000
+    assert peak <= BLOCK_PEAK_PER_ROW * len(parsed), f"peak {peak / len(parsed):.1f} bytes a row"
+
+
+@pytest.mark.parametrize("layout", BULK_LAYOUTS)
+def test_a_one_shot_iterator_of_lines_reads_as_the_text(layout):
+    parse, text = BULK_LAYOUTS[layout][0], _long_text(layout)
+    lines = text.splitlines(keepends=True)
+    assert 2 * streams._BLOCK < len(lines) - 1
+    assert fields(parse(line for line in lines)) == fields(parse(text))
+    row = 2 * streams._BLOCK + 7  # in the third block of data lines
+    lines[row] = lines[row].replace(",", ",x", 1)
+    with pytest.raises(StreamFormatError) as by_text:
+        parse("".join(lines))
+    with pytest.raises(StreamFormatError) as by_lines:
+        parse(line for line in lines)
+    assert str(by_lines.value) == str(by_text.value)
+    assert str(by_text.value).startswith(f"line {row + 1}: non-numeric cell 'x")
 
 
 @pytest.mark.parametrize("build", ["builds"])

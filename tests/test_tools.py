@@ -111,9 +111,8 @@ def test_ab_loop_refuses_trees_that_load_different_instances(tmp_path, capsys):
     shutil.copytree(ab_loop.SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
     streams = tree / "streams.py"
     text = streams.read_text(encoding="utf-8")
-    assert text.count("table[:, target].tolist()") == 1
-    streams.write_text(text.replace("table[:, target].tolist()", "(table[:, target] + 1.0).tolist()"),
-                       encoding="utf-8")
+    assert text.count("table[:, target].copy()") == 1
+    streams.write_text(text.replace("table[:, target].copy()", "(table[:, target] + 1.0)"), encoding="utf-8")
     args = [str(tree), "--length", "500", "--chunk", "250", "--passes", "1"]
     assert ab_loop.main(args) == 1
     assert "pass 1: the two trees load different instances" in capsys.readouterr().err

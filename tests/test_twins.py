@@ -15,13 +15,16 @@ that computes the same thing the plain way:
   this pass is ``tests/test_streams.py::test_block_generator_matches_the_instance_loop``,
   every ``DRIFTS`` table at every length of ``LENGTHS`` in a drawn dimension and seed
 * parse: both parsers' bulk step against their line reader, and both
-  against the numbers the text was written from
+  against the numbers the text was written from, reading the whole file
+  as one block or blocks of a few lines, from text and from a one-shot
+  iterator of lines
 
 Each test is parametrized over fixed cases, and a case draws its
 configuration from ``make_rng``, so a failing id names its draw. Every
 case also counts what it exercised (detector cuts, evolutions at
 capacity, trainee promotions and drops, clipped SGD steps, clamped
-detector values, bulk-step fallbacks), and
+detector values, bulk-step fallbacks, hand-offs to the line reader
+after a block read in bulk), and
 ``test_the_pass_exercises_every_twin`` fails when a count over the
 whole pass falls below its floor. The cases are cached, so that test
 repeats no work.
@@ -524,16 +527,33 @@ def detector_case(case):
                           int(rng.integers(1, 50)), values.tolist())
 
 
-# one defect per case, or none; the first five leave the numbers as written
+# one defect per case, or none; those of AS_WRITTEN leave the numbers as written, and only the
+# block cases draw the last two
 DEFECTS = ("none", "blank-lines", "spaced-cell", "quoted-cell", "crlf",
-           "extra-field", "missing-field", "non-finite", "empty-cell", "underscore", "bad-date")
+           "extra-field", "missing-field", "non-finite", "empty-cell", "underscore", "bad-date",
+           "straddling-cell", "late-crlf")
+AS_WRITTEN = {"none", "blank-lines", "spaced-cell", "quoted-cell", "crlf", "straddling-cell", "late-crlf"}
+WHOLE_FILE_CASES = 40  # the cases past these read blocks of a few lines
 
 
 @functools.cache
 def parse_case(case):
-    """Drawn numbers written in one layout with a defect, read back in bulk and line by line."""
+    """Drawn numbers written in one layout with a defect, read back in bulk and line by line.
+
+    The first ``WHOLE_FILE_CASES`` cases read the file as one block. Each
+    later case patches ``streams._BLOCK`` down to a few lines and writes at
+    least three blocks of rows, with the defect in the first, a middle or
+    the last one; a blank run or a cell over two lines sits at a block's
+    last line, and a late CRLF ends every line from the defect's row on.
+    Every case is also read from a one-shot iterator of its lines.
+    """
     rng = make_rng(case)
-    n, defect = int(rng.integers(1, 30)), DEFECTS[case // 2 % len(DEFECTS)]
+    blocks = case >= WHOLE_FILE_CASES
+    defects = DEFECTS if blocks else DEFECTS[:-2]
+    n, defect = int(rng.integers(1, 30)), defects[case // 2 % len(defects)]
+    if blocks:
+        size = int(rng.integers(2, 6))
+        n = size * int(rng.integers(3, 6)) + int(rng.integers(size))
     numbers = rng.choice([-1.0, 1.0], (n, 6)) * 10.0 ** rng.uniform(-300, 300, (n, 6))
     if case % 2:  # quotes, dated out of order with duplicates; Close is the target
         days = [(date(2000, 1, 1) + timedelta(days=int(k))).isoformat() for k in rng.integers(0, n, n)]
@@ -548,9 +568,14 @@ def parse_case(case):
         rows = [list(map(repr, row)) for row in numbers.tolist()]
         parse = lambda text: streams.parse_regression_csv(text, column)  # noqa: E731
     row, cell = int(rng.integers(n)), int(rng.integers(len(rows[0])))
+    if blocks:  # the first, a middle or the last block
+        last = (n - 1) // size
+        at = (0, int(rng.integers(1, last)), last)[int(rng.integers(3))]
+        row = max(at * size - 1, 0) if defect in ("blank-lines", "straddling-cell") else \
+            min(at * size + int(rng.integers(size)), n - 1)
     numeric = -int(rng.integers(1, numbers.shape[1] + 1))  # a number's cell, counted from the end
     # each edit: (the cell, the template its text takes); the date is the Yahoo layout's first cell
-    edits = {"spaced-cell": (cell, " {} "), "quoted-cell": (cell, '"{}"'),
+    edits = {"spaced-cell": (cell, " {} "), "quoted-cell": (cell, '"{}"'), "straddling-cell": (cell, '"{}\n"'),
              "non-finite": (numeric, ("nan", "inf", "-inf")[int(rng.integers(3))]),
              "empty-cell": (numeric, ""), "underscore": (numeric, "1_000"), "bad-date": (0, "2014-13-01")}
     cells = rows[row]
@@ -561,19 +586,28 @@ def parse_case(case):
     if defect in edits:
         at, template = edits[defect]
         cells[at] = template.format(cells[at])
-    lines = [delimiter.join(cells) for cells in rows]
+    lines = [delimiter.join(cells) + ("\r\n" if defect == "late-crlf" and i >= row else "\n")
+             for i, cells in enumerate(rows)]
     if defect == "blank-lines":
-        lines[row:row] = ["", "   ", "\t"]
+        lines[row:row] = ["\n", "   \n", "\t\n"]
     if header:
-        lines.insert(0, header)
-    newline = "\r\n" if defect == "crlf" else "\n"
-    text = "".join(line + newline for line in lines)
-    bulk, by_row = outcome(parse, text)
-    assert bulk == outcome(parse, text, bulk=False)[0], text
-    if defect in DEFECTS[:5]:
+        lines.insert(0, header + "\n")
+    text = "".join(lines)
+    if defect == "crlf":
+        text = text.replace("\n", "\r\n")
+    tried, columns = [], streams._columns
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streams, "_BLOCK", size if blocks else streams._BLOCK)
+        patch.setattr(streams, "_columns", lambda *args: tried.append(args) or columns(*args))
+        bulk, by_row = outcome(parse, text)
+        handed_off = by_row > 0 and len(tried) > 1  # the line reader took over after a bulk block
+        assert outcome(parse, iter(text.splitlines(keepends=True))) == (bulk, by_row), text
+        assert bulk == outcome(parse, text, bulk=False)[0], text
+    if defect in AS_WRITTEN:
         assert bulk == [(np.delete(v, target).tobytes(), float(v[target]), i) for i, v in enumerate(numbers)]
-    assert by_row == 0 or defect not in DEFECTS[:3], text  # the bulk step reads these itself
-    return Counter({"bulk-step fallbacks": by_row > 0})
+    # the bulk step reads these itself, unless a block holds only blank lines
+    assert by_row == 0 or defect not in DEFECTS[:3] or blocks and defect == "blank-lines", text
+    return Counter({"bulk-step fallbacks": by_row > 0, "hand-offs after a bulk block": handed_off})
 
 
 @functools.cache
@@ -587,7 +621,7 @@ def window_case(case):
 
 # each pass: its case function and fixed cases, the cheap ones first; the 24 ensemble cases
 # take every stream kind in each SFNR mode with the period below, at and above the buffer
-PASSES = {"parse": (parse_case, range(40)),
+PASSES = {"parse": (parse_case, range(WHOLE_FILE_CASES + 52)),
           "ring": (window_case, range(40)), "scan": (detector_case, range(60)),
           "ensembles": (ensemble_case, range(24))}
 CASES = [(name, case) for name, (_, cases) in PASSES.items() for case in cases]
@@ -601,7 +635,8 @@ def test_fast_path_matches_its_twin(name, case):
 # about half what the pass counted when they were set
 FLOORS = {"detector cuts": 150, "clamped detector values": 2500, "trainee promotions": 35,
           "trainee drops": 13, "ScaleFreeRegressor evolutions at capacity": 70, "clipped SGD steps": 30000,
-          "AddExpRegressor evolutions at capacity": 17000, "bulk-step fallbacks": 12}
+          "AddExpRegressor evolutions at capacity": 17000, "bulk-step fallbacks": 34,
+          "hand-offs after a bulk block": 12}
 
 
 def test_the_pass_exercises_every_twin():
@@ -633,7 +668,10 @@ MUTATIONS = [
     ("adwin", "self.n_added % self.check_interval", "(self.n_added - 1) % self.check_interval", "scan"),
     ("network", "self._sum = self._sum - ring[pos] + sq", "self._sum = self._sum + sq - ring[pos]", "ring"),
     ("network", "self._sum = math.fsum(ring)", "pass", "ring"),
-    ("network", "len(self._ring) - 1 - self._pos", "len(self._ring) - self._pos", "ring"),
+    ("network", "return self._full or len(self._ring) - 1 - self._pos",
+     "return self._full or len(self._ring) - self._pos", "ring"),
+    ("network", "n = self._full or len(self._ring) - 1 - self._pos", "n = self._full or len(self._ring) - self._pos",
+     "ring"),
     ("network", "if pos:", "if pos > 1:", "ring"),
     ("network", "max(self._sum, 0.0)", "abs(self._sum)", "ring"),
     ("streams", "(max(edge - start, 0) for", "(max(edge - start, 1) for", "generator"),
@@ -643,9 +681,13 @@ MUTATIONS = [
     ("streams", ".reshape(len(times), -1)", ".reshape(-1, len(times)).T", "generator"),
     ("streams", "line.count(delimiter) != width - 1", "line.count(delimiter) < width - 1", "parse"),
     ("streams", "if not np.isfinite(table).all():", "if False:", "parse"),
-    ("streams", "lines[after:] if line.strip()", "lines[after + 1:] if line.strip()", "parse"),
-    ("streams", "key=days.__getitem__)]", "key=days.__getitem__, reverse=True)[::-1]]", "parse"),
+    ("streams", "block if line.strip()]", "block[1:] if line.strip()]", "parse"),
+    ("streams", "np.argsort(days, kind=\"stable\")", "np.argsort(-days, kind=\"stable\")[::-1]", "parse"),
     ("streams", "if not data or any(", "if data or any(", "parse"),
+    ("streams", "_rows(chain(block, lines), delimiter, after)", "_rows(lines, delimiter, after + len(block))",
+     "parse"),
+    ("streams", "after += len(block)", "after += len(block) - 1", "parse"),
+    ("streams", "taken[first - before - 1:]", "taken[first - before:]", "parse"),
 ]
 SRC = Path(__file__).resolve().parent.parent / "src" / "driftnet"
 
