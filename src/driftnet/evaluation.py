@@ -283,7 +283,7 @@ def run_experiment_detailed(config: ExperimentConfig, max_workers: int = 1
     if config.data_path is not None and not os.path.isfile(config.data_path):
         raise FileNotFoundError(f"dataset file not found: {config.data_path}")
     seeds = sorted(set(config.seeds))
-    # a file stream does not depend on the seed: parse it once, and ship its two columns to a pool
+    # a file stream does not depend on the seed: parse it once, and ship its blocks and targets to a pool
     parsed = _build_instances(config, seeds[0]) if config.data_path is not None else None
     if max_workers > 1 and len(seeds) > 1:
         # fork starts every worker up front, so never more than there are seeds

@@ -22,38 +22,41 @@ line. A row of empty cells is not blank, so it is such an error too.
 
 The reader reads its source once, in blocks of 8,192 lines, and reads
 each block in bulk: one ``np.loadtxt`` over its data lines, after a
-check that every line is as wide as the first row. Where that step
-cannot read a block (a quoted cell, ``1_000``, a carriage return, an
-empty or non-finite cell, a line of another width), the line reader
-reads the rest of the source from that block's first line, and that
-path alone writes the error messages, so each one still names its line
-and column. It can start there because a block read in bulk holds no
-quote and no carriage return, so each of its lines is a whole row. The
-generator, likewise, draws and computes blocks of instances at once,
-with the same draws in the same order as one instance at a time. It
-evaluates a drift's mix probability only in a window of times, outside
-which that probability is exactly 0.0 before and 1.0 after, and copies a
-block's features out of its draws, so that no row keeps the drift
-columns alive. Either way an instance's ``x`` is a C-contiguous row
+check that every line is as wide as the first row; a block of blank
+lines adds no rows. Where that step cannot read a block (a quoted
+cell, ``1_000``, a carriage return, an empty or non-finite cell, a line
+of another width), the line reader reads the rest of the source from
+that block's first line, and that path alone writes the error messages,
+so each one still names its line and column. It can start there
+because a block read in bulk holds no quote and no carriage return, so
+each of its lines is a whole row. The generator, likewise, draws and
+computes blocks of instances at once, with the same draws in the same
+order as one instance at a time. It evaluates a drift's mix probability
+only in a window of times, outside which that probability is exactly
+0.0 before and 1.0 after, and copies a block's features out of its
+draws, so that no row keeps the drift columns alive. Either way an instance's ``x`` is a C-contiguous row
 view of one float64 array that holds features alone.
 
-A parse keeps its two columns and nothing else: the feature matrix and
-the target list. A block's text, dates and table go once its columns
-are taken, so a parse holds one block of text at a time. It returns the
-columns as a read-only sequence that makes a new instance each time one
-is read, so no instance is built up front. Rows already in date order
-are not copied to sort them.
+A parse keeps the feature blocks it read and one float64 array of
+targets, and nothing else. A block's text, dates and table go once its
+columns are taken, so a parse holds one block of text at a time, and
+the feature blocks are never merged into one matrix. It returns them
+as a read-only sequence that makes a new instance each time one is
+read, so no instance is built up front, and an iteration or a slice
+turns one block's targets into floats at a time. Rows already in date
+order keep their blocks; rows out of date order are sorted into one.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -347,19 +350,18 @@ def _columns(block: list[str], width: int, delimiter: str,
              dated: bool) -> tuple[np.ndarray | None, np.ndarray]:
     """A block of lines read in bulk: the ordinals of their dates (or None) and their numbers.
 
-    Raises ValueError wherever only ``_rows`` can say what the lines
-    hold: none is blank, a line holds a carriage return or is not
-    ``width`` cells wide, a cell is not a finite number that
+    A block of blank lines gives no rows. Raises ValueError wherever only
+    ``_rows`` can say what the lines hold: a line holds a carriage return
+    or is not ``width`` cells wide, a cell is not a finite number that
     ``np.loadtxt`` reads (a quoted cell, ``1_000``, an empty cell), or
     with ``dated`` a first cell is not an ISO date.
     """
     data = [line for line in block if line.strip()]
     # loadtxt ignores the cells past ``usecols``, so the width is checked here
-    if not data or any("\r" in line for line in block) or any(
-            line.count(delimiter) != width - 1 for line in data):
-        raise ValueError("no data, or a line the bulk step does not read")
+    if any("\r" in line for line in block) or any(line.count(delimiter) != width - 1 for line in data):
+        raise ValueError("a line the bulk step does not read")
     table = np.loadtxt(data, delimiter=delimiter, comments=None, quotechar=None, ndmin=2,
-                       usecols=range(dated, width))
+                       usecols=range(dated, width)) if data else np.empty((0, width - dated))
     if not np.isfinite(table).all():
         raise ValueError("a non-finite cell")
     days = np.fromiter((date.fromisoformat(line.partition(delimiter)[0].strip()).toordinal()
@@ -371,21 +373,23 @@ _BLOCK = 8192  # data lines read in bulk at a time, so a parse holds one block o
 
 
 def _table(lines: Iterator[str], after: int, names: Sequence, delimiter: str, dated: bool,
-           target: int) -> tuple[np.ndarray, list[float]]:
-    """The features x (one row each) and targets y of ``lines``, the physical lines after line ``after``.
+           target: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The feature blocks x and the targets y of ``lines``, the physical lines after line ``after``.
 
     There is one column per name; with ``dated`` the first holds ISO
     dates, which sort the rows stably and are then dropped. Of the
     numbers in a row, the one at ``target`` is y and the others, in
     order, are x. ``lines`` are read once, in blocks of ``_BLOCK``: the
     bulk step reads each block it can, and only the block's columns are
-    kept. From the first block it cannot read, ``_rows`` and
-    ``_row_values`` read the rest row by row, and they alone write the
+    kept, its features as one array of x and its targets in y. From the
+    first block it cannot read, ``_rows`` and ``_row_values`` read the
+    rest row by row into one last array of x, and they alone write the
     error messages. The csv reader may start there, since a block the
     bulk step read holds no quote and no carriage return, so each of its
-    lines is a whole row.
+    lines is a whole row. Rows whose dates decrease somewhere are sorted
+    into one array of x; rows in date order keep their blocks.
     """
-    x, y, days = [np.empty((0, len(names) - dated - 1))], [np.empty(0)], [np.empty(0, np.int64)]
+    x, y, days = [], [np.empty(0)], [np.empty(0, np.int64)]
     for block in iter(lambda: list(islice(lines, _BLOCK)), []):
         try:
             day, table = _columns(block, len(names), delimiter, dated)
@@ -398,37 +402,52 @@ def _table(lines: Iterator[str], after: int, names: Sequence, delimiter: str, da
         y.append(table[:, target].copy())
         days.append(day)
         after += len(block)
-    x, y = np.concatenate(x), np.concatenate(y)  # each list of blocks goes as its name is rebound
+    y = np.concatenate(y)
     if dated:
         days = np.concatenate(days)
         if (days[1:] < days[:-1]).any():  # a stable sort of dates in order is the identity
             order = np.argsort(days, kind="stable")
-            x, y = x[order], y[order]
-    return x, y.tolist()
+            x, y = [np.concatenate(x)[order]], y[order]
+    return x, y
 
 
 class _Parsed(Sequence):
-    """A parsed file's instances, made when read from its two columns.
+    """A parsed file's instances, made when read from its feature blocks and its targets.
 
-    Item i is ``Instance(x[i], y[i], i)``, made anew on every read, so
-    the sequence keeps the feature matrix ``x`` and the target list ``y``
-    and no instance. An int index may be negative; a slice gives a list.
+    Item i is ``Instance(x[i], float(y[i]), i)``, where x is the feature
+    blocks one after another, made anew on every read, so the sequence
+    keeps the blocks, their edges and the float64 targets ``y`` and no
+    instance. Iteration and a slice of step 1 make a block's instances
+    together, so a read holds one block's targets as floats at a time.
+    An int index may be negative; a slice gives a list.
     """
 
-    def __init__(self, x: np.ndarray, y: list[float]):
-        self.x, self.y = x, y
+    def __init__(self, blocks: list[np.ndarray], y: np.ndarray):
+        self.blocks, self.y = blocks, y
+        self.edges = list(accumulate(map(len, blocks), initial=0))  # block k holds rows edges[k] on
 
     def __len__(self) -> int:
         return len(self.y)
 
     def __iter__(self) -> Iterator[Instance]:
-        return map(Instance, self.x, self.y, range(len(self.y)))
+        return self._span(0, len(self.y))
 
     def __getitem__(self, i):
         indices = range(len(self.y))[i]  # an int out of range raises IndexError here
         if isinstance(i, slice):
-            return list(map(Instance, self.x[i], self.y[i], indices))
-        return Instance(self.x[indices], self.y[indices], indices)
+            if indices.step == 1:
+                return list(self._span(indices.start, indices.stop))
+            return [self[j] for j in indices]
+        k = bisect.bisect_right(self.edges, indices) - 1
+        return Instance(self.blocks[k][indices - self.edges[k]], float(self.y[indices]), indices)
+
+    def _span(self, lo: int, hi: int) -> Iterator[Instance]:
+        """Instances lo to hi - 1, made one block at a time."""
+        for block, first, end in zip(self.blocks, self.edges, self.edges[1:]):
+            start, stop = max(lo, first), min(hi, end)
+            if start < stop:
+                yield from map(Instance, block[start - first:stop - first], self.y[start:stop].tolist(),
+                               range(start, stop))
 
 
 def parse_yahoo_csv(source) -> Sequence[Instance]:
@@ -474,7 +493,7 @@ def parse_regression_csv(source, target_column) -> Sequence[Instance]:
     rows = _rows((taken.append(line) or line for line in chain(opening, lines)), delimiter, before)
     first, last, cells = next(rows, (1, 1, None))
     if cells is None:
-        return _Parsed(np.empty((0, 0)), [])
+        return _Parsed([], np.empty(0))
 
     header: list[str] | None = None
     try:  # an empty cell is a missing value, not a name

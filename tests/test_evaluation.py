@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import driftnet.evaluation as evaluation
+import driftnet.streams as streams
 from driftnet.evaluation import (
     PRESETS,
     ExperimentConfig,
@@ -341,21 +342,24 @@ def test_run_parses_a_data_file_once_for_every_seed_and_worker(monkeypatch, tmp_
     calls = []
     parse = evaluation.parse_yahoo_csv
     monkeypatch.setattr(evaluation, "parse_yahoo_csv",
-                        lambda fh: calls.append(1) or parse(fh))
-    outputs = []
-    for workers in (1, 3):
-        out, log = tmp_path / f"rows{workers}.csv", tmp_path / f"drifts{workers}.csv"
-        config = ExperimentConfig(
-            algorithm="sfnr_adwin", data_path=str(path),
-            learner="ema", seeds=(1, 2, 3), report_every=100, window_size=100,
-            adwin_check_interval=1, error_scale=1.0, record_timing=False,
-            out=str(out), drift_log_out=str(log))
-        calls.clear()
-        run_experiment_detailed(config, max_workers=workers)
-        assert len(calls) == 1
-        outputs.append((out.read_bytes(), log.read_bytes()))
-    assert outputs[0] == outputs[1]
-    assert outputs[0][1].count(b"\n") > 1
+                        lambda fh: calls.append(parse(fh)) or calls[-1])
+    # read whole, and in blocks of 128 lines, so the pool's workers are sent five feature blocks
+    for block, blocks in ((streams._BLOCK, 1), (128, 5)):
+        monkeypatch.setattr(streams, "_BLOCK", block)
+        outputs = []
+        for workers in (1, 3):
+            out, log = tmp_path / f"rows{workers}.csv", tmp_path / f"drifts{workers}.csv"
+            config = ExperimentConfig(
+                algorithm="sfnr_adwin", data_path=str(path),
+                learner="ema", seeds=(1, 2, 3), report_every=100, window_size=100,
+                adwin_check_interval=1, error_scale=1.0, record_timing=False,
+                out=str(out), drift_log_out=str(log))
+            calls.clear()
+            run_experiment_detailed(config, max_workers=workers)
+            assert len(calls) == 1 and len(calls[0].blocks) == blocks
+            outputs.append((out.read_bytes(), log.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].count(b"\n") > 1
 
 
 def test_elapsed_is_monotone_within_a_seed():

@@ -17,14 +17,15 @@ that computes the same thing the plain way:
 * parse: both parsers' bulk step against their line reader, and both
   against the numbers the text was written from, reading the whole file
   as one block or blocks of a few lines, from text and from a one-shot
-  iterator of lines
+  iterator of lines; the result's reads by index and by slice against
+  its iteration
 
 Each test is parametrized over fixed cases, and a case draws its
 configuration from ``make_rng``, so a failing id names its draw. Every
 case also counts what it exercised (detector cuts, evolutions at
 capacity, trainee promotions and drops, clipped SGD steps, clamped
 detector values, bulk-step fallbacks, hand-offs to the line reader
-after a block read in bulk), and
+after a block read in bulk, results read across blocks), and
 ``test_the_pass_exercises_every_twin`` fails when a count over the
 whole pass falls below its floor. The cases are cached, so that test
 repeats no work.
@@ -37,6 +38,7 @@ import them from here.
 """
 
 import functools
+import io
 import itertools
 import math
 from collections import Counter, deque
@@ -473,10 +475,25 @@ def fields(instances):
     return [(inst.x.tobytes(), inst.y, inst.index) for inst in instances]
 
 
+def read_at_random(parsed):
+    """Each instance's fields, iterated; reads by index and a slice across blocks give the same.
+
+    The indices are the first, the last and both sides of every block
+    edge, each counted from the start and from the end.
+    """
+    want, n = fields(parsed), len(parsed)
+    edges = parsed.edges[1:-1]
+    for i in {0, n - 1, *edges, *(edge - 1 for edge in edges)} & set(range(n)):
+        assert fields([parsed[i], parsed[i - n]]) == [want[i], want[i]], i
+    assert fields(parsed[1:n - 1]) == want[1:n - 1]
+    return want
+
+
 def outcome(parse, text, bulk=True):
     """``parse(text)`` as its error message or each instance's fields, and the rows read one by one.
 
     With ``bulk`` False the bulk step is refused, so the line reader reads every row.
+    The fields are read at random too.
     """
     by_row, row_values = [], streams._row_values
     with pytest.MonkeyPatch.context() as patch:
@@ -488,7 +505,7 @@ def outcome(parse, text, bulk=True):
         except streams.StreamFormatError as exc:
             return str(exc), len(by_row)
     assert row_types_ok(instances)
-    return fields(instances), len(by_row)
+    return read_at_random(instances), len(by_row)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +546,7 @@ def detector_case(case):
 
 # one defect per case, or none; those of AS_WRITTEN leave the numbers as written, and only the
 # block cases draw the last two
-DEFECTS = ("none", "blank-lines", "spaced-cell", "quoted-cell", "crlf",
+DEFECTS = ("none", "blank-lines", "spaced-cell", "blank-carriage-return", "quoted-cell", "crlf",
            "extra-field", "missing-field", "non-finite", "empty-cell", "underscore", "bad-date",
            "straddling-cell", "late-crlf")
 AS_WRITTEN = {"none", "blank-lines", "spaced-cell", "quoted-cell", "crlf", "straddling-cell", "late-crlf"}
@@ -545,7 +562,9 @@ def parse_case(case):
     least three blocks of rows, with the defect in the first, a middle or
     the last one; a blank run or a cell over two lines sits at a block's
     last line, and a late CRLF ends every line from the defect's row on.
-    Every case is also read from a one-shot iterator of its lines.
+    Every case is also read from a one-shot iterator of its lines. A
+    block case of quotes in date order keeps its blocks, so that their
+    edges are read at random.
     """
     rng = make_rng(case)
     blocks = case >= WHOLE_FILE_CASES
@@ -557,6 +576,9 @@ def parse_case(case):
     numbers = rng.choice([-1.0, 1.0], (n, 6)) * 10.0 ** rng.uniform(-300, 300, (n, 6))
     if case % 2:  # quotes, dated out of order with duplicates; Close is the target
         days = [(date(2000, 1, 1) + timedelta(days=int(k))).isoformat() for k in rng.integers(0, n, n)]
+        if blocks and case % 4 == 3:
+            days.sort()
+        ordered = days == sorted(days)  # else the rows are sorted into one block
         rows = [[day, *map(repr, row)] for day, row in zip(days, numbers.tolist())]
         header, delimiter, target, parse = ",".join(streams.YAHOO_HEADER), ",", 3, streams.parse_yahoo_csv
         numbers = numbers[sorted(range(n), key=days.__getitem__)]
@@ -567,12 +589,13 @@ def parse_case(case):
         column = (target, target - width, f"c{target}")[int(rng.integers(3 if header else 2))]
         rows = [list(map(repr, row)) for row in numbers.tolist()]
         parse = lambda text: streams.parse_regression_csv(text, column)  # noqa: E731
+        ordered = True
     row, cell = int(rng.integers(n)), int(rng.integers(len(rows[0])))
     if blocks:  # the first, a middle or the last block
         last = (n - 1) // size
         at = (0, int(rng.integers(1, last)), last)[int(rng.integers(3))]
-        row = max(at * size - 1, 0) if defect in ("blank-lines", "straddling-cell") else \
-            min(at * size + int(rng.integers(size)), n - 1)
+        at_edge = defect in ("blank-lines", "blank-carriage-return", "straddling-cell")
+        row = max(at * size - 1, 0) if at_edge else min(at * size + int(rng.integers(size)), n - 1)
     numeric = -int(rng.integers(1, numbers.shape[1] + 1))  # a number's cell, counted from the end
     # each edit: (the cell, the template its text takes); the date is the Yahoo layout's first cell
     edits = {"spaced-cell": (cell, " {} "), "quoted-cell": (cell, '"{}"'), "straddling-cell": (cell, '"{}\n"'),
@@ -590,6 +613,8 @@ def parse_case(case):
              for i, cells in enumerate(rows)]
     if defect == "blank-lines":
         lines[row:row] = ["\n", "   \n", "\t\n"]
+    if defect == "blank-carriage-return":  # the csv module's error
+        lines[row:row] = [" \r \n"]
     if header:
         lines.insert(0, header + "\n")
     text = "".join(lines)
@@ -601,13 +626,16 @@ def parse_case(case):
         patch.setattr(streams, "_columns", lambda *args: tried.append(args) or columns(*args))
         bulk, by_row = outcome(parse, text)
         handed_off = by_row > 0 and len(tried) > 1  # the line reader took over after a bulk block
-        assert outcome(parse, iter(text.splitlines(keepends=True))) == (bulk, by_row), text
+        one_shot = iter(io.StringIO(text, newline="\n").readlines())  # split after "\n" alone, as text is
+        assert outcome(parse, one_shot) == (bulk, by_row), text
         assert bulk == outcome(parse, text, bulk=False)[0], text
     if defect in AS_WRITTEN:
         assert bulk == [(np.delete(v, target).tobytes(), float(v[target]), i) for i, v in enumerate(numbers)]
-    # the bulk step reads these itself, unless a block holds only blank lines
-    assert by_row == 0 or defect not in DEFECTS[:3] or blocks and defect == "blank-lines", text
-    return Counter({"bulk-step fallbacks": by_row > 0, "hand-offs after a bulk block": handed_off})
+    # the bulk step reads these itself, also a block of blank lines alone
+    assert by_row == 0 or defect not in DEFECTS[:3], text
+    across = blocks and ordered and by_row == 0 and isinstance(bulk, list)
+    return Counter({"bulk-step fallbacks": by_row > 0, "hand-offs after a bulk block": handed_off,
+                    "results read across blocks": across})
 
 
 @functools.cache
@@ -636,7 +664,7 @@ def test_fast_path_matches_its_twin(name, case):
 FLOORS = {"detector cuts": 150, "clamped detector values": 2500, "trainee promotions": 35,
           "trainee drops": 13, "ScaleFreeRegressor evolutions at capacity": 70, "clipped SGD steps": 30000,
           "AddExpRegressor evolutions at capacity": 17000, "bulk-step fallbacks": 34,
-          "hand-offs after a bulk block": 12}
+          "hand-offs after a bulk block": 12, "results read across blocks": 4}
 
 
 def test_the_pass_exercises_every_twin():
@@ -683,11 +711,16 @@ MUTATIONS = [
     ("streams", "if not np.isfinite(table).all():", "if False:", "parse"),
     ("streams", "block if line.strip()]", "block[1:] if line.strip()]", "parse"),
     ("streams", "np.argsort(days, kind=\"stable\")", "np.argsort(-days, kind=\"stable\")[::-1]", "parse"),
-    ("streams", "if not data or any(", "if data or any(", "parse"),
+    ("streams", 'if any("\\r" in line for line in block)', 'if data or any("\\r" in line for line in block)',
+     "parse"),
+    ("streams", 'any("\\r" in line for line in block) or ', "", "parse"),
     ("streams", "_rows(chain(block, lines), delimiter, after)", "_rows(lines, delimiter, after + len(block))",
      "parse"),
     ("streams", "after += len(block)", "after += len(block) - 1", "parse"),
     ("streams", "taken[first - before - 1:]", "taken[first - before:]", "parse"),
+    ("streams", "bisect.bisect_right(", "bisect.bisect_left(", "parse"),
+    ("streams", "self.y[start:stop].tolist()", "self.y[start + 1:stop + 1].tolist()", "parse"),
+    ("streams", "max(lo, first)", "lo", "parse"),
 ]
 SRC = Path(__file__).resolve().parent.parent / "src" / "driftnet"
 
