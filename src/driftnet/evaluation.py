@@ -146,6 +146,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown learner {self.learner!r}; choose from {LEARNERS}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if bad := [seed for seed in self.seeds if not 0 <= seed < 2 ** 64]:
+            raise ValueError(f"seeds must lie in [0, 2**64), got {bad}")
         if self.report_every < 1:
             raise ValueError("report_every must be positive")
         if self.data_path is None:

@@ -23,7 +23,9 @@ def make_rng(seed: int) -> np.random.Generator:
     Parameters
     ----------
     seed : int
-        Any non-negative integer; reduced modulo 2**64.
+        Any integer; reduced modulo 2**64, so seeds that differ by a
+        multiple of 2**64 give the same draws. A run's seeds are kept
+        in [0, 2**64) by ``ExperimentConfig.validate``.
     """
     return np.random.Generator(np.random.PCG64(int(seed) % 2**64))
 

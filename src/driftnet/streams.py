@@ -281,22 +281,6 @@ def _lines(source) -> Iterator[str]:
     return iter(source)
 
 
-def _opening(lines: Iterator[str]) -> tuple[int, list[str]]:
-    """Take ``lines`` up to the first non-blank one: how many came before it, and [that line].
-
-    The lines before the first non-blank one are blank in any delimiter,
-    so the csv reader starts there. When every line is blank it is
-    given them all, from line 1, and a lone carriage return among them
-    is still an error.
-    """
-    blank = []
-    for line in lines:
-        if line.strip():
-            return len(blank), [line]
-        blank.append(line)
-    return 0, blank
-
-
 def _rows(lines, delimiter: str, before: int) -> Iterator[tuple[int, int, list[str]]]:
     """(first line, last line, cells) for every row of ``lines`` that is not blank.
 
@@ -463,8 +447,7 @@ def parse_yahoo_csv(source) -> Sequence[Instance]:
     is read; ``list()`` it for a list to change.
     """
     lines = _lines(source)
-    before, opening = _opening(lines)
-    rows = _rows(chain(opening, lines), ",", before)
+    rows = _rows(lines, ",", 0)
     first, last, header = next(rows, (1, 1, YAHOO_HEADER))  # an empty file has no rows to read
     if tuple(h.strip() for h in header) != YAHOO_HEADER:
         raise StreamFormatError(f"line {first}: expected header {','.join(YAHOO_HEADER)}, "
@@ -484,13 +467,17 @@ def parse_regression_csv(source, target_column) -> Sequence[Instance]:
     or infinite cell is a StreamFormatError.
     """
     lines = _lines(source)
-    before, opening = _opening(lines)
+    opening = []  # the lines up to the first non-blank one, or every line when all are blank
+    for line in lines:
+        opening.append(line)
+        if line.strip():
+            break
     # UCI-style files are often semicolon-separated; prefer whichever
     # separator actually splits the first non-blank line.
-    first_line = "".join(opening)
+    first_line = "".join(opening[-1:])
     delimiter = ";" if first_line.count(";") > first_line.count(",") else ","
-    taken = []  # the lines the first row's reader takes, from line before + 1 on
-    rows = _rows((taken.append(line) or line for line in chain(opening, lines)), delimiter, before)
+    taken = []  # the lines the first row's reader takes, from line 1 on
+    rows = _rows((taken.append(line) or line for line in chain(opening, lines)), delimiter, 0)
     first, last, cells = next(rows, (1, 1, None))
     if cells is None:
         return _Parsed([], np.empty(0))
@@ -498,7 +485,7 @@ def parse_regression_csv(source, target_column) -> Sequence[Instance]:
     header: list[str] | None = None
     try:  # an empty cell is a missing value, not a name
         list(map(float, filter(str.strip, cells)))
-        lines = chain(taken[first - before - 1:], lines)  # no header: the data start at this row
+        lines = chain(taken[first - 1:], lines)  # no header: the data start at this row
         last = first - 1
     except ValueError:
         header = [h.strip() for h in cells]

@@ -92,6 +92,16 @@ def test_run_unknown_algorithm_is_usage_error(tmp_path, capsys):
         assert f"unknown algorithm {name!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds, flags", [("1,18446744073709551617", []), ("-1", []),
+                                          ("1", ["--seed", str(2 ** 64)])],
+                         ids=["2**64-past-1", "negative", "flag"])
+def test_run_seed_outside_64_bits_is_usage_error(tmp_path, capsys, seeds, flags):
+    # make_rng reduces a seed modulo 2**64, so 1 and 2**64 + 1 would run one stream under two labels
+    cfg = write_config(tmp_path, BASIC.replace("seeds = 1,2", f"seeds = {seeds}"))
+    assert main(["run", cfg, *flags]) == 1
+    assert "seeds must lie in [0, 2**64)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("shape", ["drift_times = 50\ndrift_widths = 0\n",
                                    "drift_times = 50,30\ndrift_widths = 1,1\n"],
                          ids=["width-0", "times-decreasing"])

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from driftnet import streams
-from driftnet.prng import make_rng
 from driftnet.streams import (
     YAHOO_HEADER,
     DriftStreamSpec,
@@ -25,7 +24,7 @@ from driftnet.streams import (
     parse_yahoo_csv,
     sigmoid_mix_probability,
 )
-from test_twins import CHUNK, DRIFTS, LENGTHS, fields, outcome, reference_stream, refuse, row_types_ok
+from test_twins import CHUNK, fields, outcome, refuse, row_types_ok
 
 
 def test_concept_weights_are_unit_norm():
@@ -187,18 +186,6 @@ def test_multi_drift_last_concept_wins():
 def test_zero_length_stream():
     spec = _two_concept_spec(length=0)
     assert list(generate_drift_stream(spec)) == []
-
-
-@pytest.mark.parametrize("name", DRIFTS)
-@pytest.mark.parametrize("length", LENGTHS)
-def test_block_generator_matches_the_instance_loop(length, name):
-    # the differential harness's generator pass: this table at this length, in a drawn dim and seed
-    rng = make_rng(LENGTHS.index(length) * len(DRIFTS) + list(DRIFTS).index(name))
-    dim, seed, drifts = int(rng.integers(2, 21)), int(rng.integers(2 ** 32)), DRIFTS[name]
-    concepts = tuple(make_hyperplane_concept(seed + j, dim) for j in range(len(drifts) + 1))
-    spec = DriftStreamSpec(concepts=concepts, drift_times=tuple(t for t, _ in drifts),
-                           drift_widths=tuple(w for _, w in drifts), length=length, seed=seed)
-    assert fields(generate_drift_stream(spec)) == fields(reference_stream(spec)), (dim, seed)
 
 
 def test_generated_instances_hold_a_float_target_and_a_contiguous_float64_row():
@@ -454,6 +441,16 @@ def test_blank_lines_leave_line_numbers_physical(layout, blank):
     with pytest.raises(StreamFormatError) as exc:
         _parse(layout, header, good, blank, blank, bad)
     assert str(exc.value).startswith("line 5: non-numeric cell 'x' in column ")
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_a_blank_line_holding_a_carriage_return_is_an_error_before_the_header_too(layout):
+    # the csv reader reads every line from line 1, so it meets the \r wherever it stands
+    _, header, good, _ = LAYOUTS[layout]
+    for lines, lineno in [((" \r ", header, good), 1), (("", " \r ", header, good), 2),
+                          ((header, " \r ", good), 2), (("", " \r "), 2)]:
+        with pytest.raises(StreamFormatError, match=f"^line {lineno}: new-line character"):
+            _parse(layout, *lines)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -733,10 +730,9 @@ def test_a_one_shot_iterator_of_lines_reads_as_the_text(layout):
     assert str(by_text.value).startswith(f"line {row + 1}: non-numeric cell 'x")
 
 
-@pytest.mark.parametrize("build", ["builds"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
 @pytest.mark.parametrize("layout", BULK_LAYOUTS)
-def test_a_parse_leaves_the_collector_as_it_found_it(layout, enabled, build):
+def test_a_parse_leaves_the_collector_as_it_found_it(layout, enabled):
     parse, header, rows, _ = BULK_LAYOUTS[layout]
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()

@@ -11,8 +11,7 @@ that computes the same thing the plain way:
 * scan: ``Adwin``'s window buffer and jump scan against ``OneValueAtATime``
 * ring: the list ring of ``NodeStats`` and ``PrequentialWindow`` against
   ``DequeWindow``
-* generator: ``generate_drift_stream``'s blocks against ``reference_stream``;
-  this pass is ``tests/test_streams.py::test_block_generator_matches_the_instance_loop``,
+* generator: ``generate_drift_stream``'s blocks against ``reference_stream``,
   every ``DRIFTS`` table at every length of ``LENGTHS`` in a drawn dimension and seed
 * parse: both parsers' bulk step against their line reader, and both
   against the numbers the text was written from, reading the whole file
@@ -20,21 +19,25 @@ that computes the same thing the plain way:
   iterator of lines; the result's reads by index and by slice against
   its iteration
 
-Each test is parametrized over fixed cases, and a case draws its
-configuration from ``make_rng``, so a failing id names its draw. Every
-case also counts what it exercised (detector cuts, evolutions at
-capacity, trainee promotions and drops, clipped SGD steps, clamped
-detector values, bulk-step fallbacks, hand-offs to the line reader
-after a block read in bulk, results read across blocks), and
-``test_the_pass_exercises_every_twin`` fails when a count over the
-whole pass falls below its floor. The cases are cached, so that test
+Each test is parametrized over fixed cases. A case is a number that
+draws its configuration from ``make_rng``, or a tuple that names its
+input (a generator table at a length, a window's kind and length, a
+detector stream's levels, capacity and interval), so a failing id names
+its draw or its input. Every case also counts what it exercised
+(detector cuts, evolutions at capacity, trainee promotions and drops,
+clipped SGD steps, clamped detector values, bulk-step fallbacks,
+hand-offs to the line reader after a block read in bulk, results read
+across blocks), and ``test_the_pass_exercises_every_twin`` fails when
+a count over the whole pass falls below its floor. The cases are cached, so that test
 repeats no work.
 
 ``MUTATIONS`` holds seeded faults, at least five per fast path, that
 this module must catch: ``python3 tools/mutants.py`` applies each one to
-a copy of ``src/driftnet`` and reruns the harness against it. The twins
-and the shared test streams are defined here alone; other test modules
-import them from here.
+a copy of ``src/driftnet`` and reruns this module alone against it.
+Another test module makes a twin comparison only in a row that also
+pins something else, such as a hand-driven bank scenario or the tiny
+windows that cannot cut. The twins and the shared test streams are
+defined here alone; other test modules import them from here.
 """
 
 import functools
@@ -532,9 +535,26 @@ def ensemble_case(case):
     return counts + more
 
 
+# a fixed scan stream's levels: near 0 and 1, with wide noise, so its window holds clamped values
+SCAN_LEVELS = {"steps": [0.05, 0.95, 0.4, 0.9], "level": [0.92]}
+
+
 @functools.cache
 def detector_case(case):
-    """A detector of drawn delta, capacity and interval on a noisy stream of drawn levels."""
+    """A detector of drawn delta, capacity and interval on a noisy stream of drawn levels.
+
+    A fixed case (levels, capacity, interval) has delta 0.1 and makes
+    3 x capacity additions, so the buffer compacts mid-stream; it must
+    clamp some values, and cut at least twice on the stepped levels.
+    """
+    if isinstance(case, tuple):
+        name, capacity, check_interval = case
+        steps, levels, n = name == "steps", SCAN_LEVELS[name], 3 * capacity
+        rng = make_rng(100 * capacity + 10 * check_interval + steps)
+        values = [levels[t * len(levels) // n] + 0.5 * (rng.random() - 0.5) for t in range(n)]
+        counts = check_detector(0.1, capacity, check_interval, values)
+        assert counts["clamped detector values"] > 0 and counts["detector cuts"] >= 2 * steps
+        return counts
     rng = make_rng(case)
     capacity = int(rng.integers(2, 400))
     n = 3 * capacity  # the buffer compacts mid-stream
@@ -638,24 +658,55 @@ def parse_case(case):
                     "results read across blocks": across})
 
 
+WINDOW_KINDS = ("zero", "tiny", "huge", "mixed")
+
+
 @functools.cache
 def window_case(case):
-    """A node window and a prequential one of drawn length on drawn errors."""
-    rng = make_rng(case)
-    length = int(rng.choice([1, 2, 3, 7, int(rng.integers(8, 300))]))
-    check_windows(length, window_errors(length, ("zero", "tiny", "huge", "mixed")[case % 4], rng))
+    """A node window and a prequential one on errors of one of ``WINDOW_KINDS``.
+
+    A fixed case (kind, length) draws its errors from ``make_rng(length)``;
+    a drawn case draws its length too.
+    """
+    if isinstance(case, tuple):
+        kind, length = case
+        rng = make_rng(length)
+    else:
+        rng, kind = make_rng(case), WINDOW_KINDS[case % 4]
+        length = int(rng.choice([1, 2, 3, 7, int(rng.integers(8, 300))]))
+    check_windows(length, window_errors(length, kind, rng))
+    return Counter()
+
+
+@functools.cache
+def generator_case(case):
+    """The ``DRIFTS`` table ``name`` at ``length``, in a drawn dimension and seed."""
+    length, name = case
+    rng = make_rng(LENGTHS.index(length) * len(DRIFTS) + list(DRIFTS).index(name))
+    dim, seed, drifts = int(rng.integers(2, 21)), int(rng.integers(2 ** 32)), DRIFTS[name]
+    concepts = tuple(streams.make_hyperplane_concept(seed + j, dim) for j in range(len(drifts) + 1))
+    spec = streams.DriftStreamSpec(concepts=concepts, drift_times=tuple(t for t, _ in drifts),
+                                   drift_widths=tuple(w for _, w in drifts), length=length, seed=seed)
+    assert fields(streams.generate_drift_stream(spec)) == fields(reference_stream(spec)), (dim, seed)
     return Counter()
 
 
 # each pass: its case function and fixed cases, the cheap ones first; the 24 ensemble cases
 # take every stream kind in each SFNR mode with the period below, at and above the buffer
 PASSES = {"parse": (parse_case, range(WHOLE_FILE_CASES + 52)),
-          "ring": (window_case, range(40)), "scan": (detector_case, range(60)),
+          "ring": (window_case, [*itertools.product(WINDOW_KINDS, (1, 2, 7, 100)), *range(40)]),
+          "generator": (generator_case, list(itertools.product(LENGTHS, DRIFTS))),
+          "scan": (detector_case, [*itertools.product(SCAN_LEVELS, (64, 2000), (1, 32)), *range(60)]),
           "ensembles": (ensemble_case, range(24))}
 CASES = [(name, case) for name, (_, cases) in PASSES.items() for case in cases]
 
 
-@pytest.mark.parametrize("name,case", CASES, ids=[f"{name}-{case}" for name, case in CASES])
+def case_id(name, case):
+    """``<pass>-<case>``, with a tuple case's parts joined by ``-``."""
+    return "-".join(map(str, (name, *case))) if isinstance(case, tuple) else f"{name}-{case}"
+
+
+@pytest.mark.parametrize("name,case", CASES, ids=[case_id(*pair) for pair in CASES])
 def test_fast_path_matches_its_twin(name, case):
     PASSES[name][0](case)
 
@@ -717,7 +768,7 @@ MUTATIONS = [
     ("streams", "_rows(chain(block, lines), delimiter, after)", "_rows(lines, delimiter, after + len(block))",
      "parse"),
     ("streams", "after += len(block)", "after += len(block) - 1", "parse"),
-    ("streams", "taken[first - before - 1:]", "taken[first - before:]", "parse"),
+    ("streams", "taken[first - 1:]", "taken[first:]", "parse"),
     ("streams", "bisect.bisect_right(", "bisect.bisect_left(", "parse"),
     ("streams", "self.y[start:stop].tolist()", "self.y[start + 1:stop + 1].tolist()", "parse"),
     ("streams", "max(lo, first)", "lo", "parse"),
@@ -725,9 +776,15 @@ MUTATIONS = [
 SRC = Path(__file__).resolve().parent.parent / "src" / "driftnet"
 
 
+# each fast path of ``MUTATIONS``: the pass that runs it
+RUN_BY = {"bank": "ensembles", "trainee": "ensembles", "scan": "scan", "ring": "ring",
+          "generator": "generator", "parse": "parse"}
+
+
 def test_every_mutation_names_text_its_module_holds_once():
     for module, old, _, _ in MUTATIONS:
         assert (SRC / f"{module}.py").read_text().count(old) == 1, (module, old)
     paths = Counter(path for *_, path in MUTATIONS)
-    assert set(paths) == {"bank", "trainee", "scan", "ring", "generator", "parse"}
+    # every fast path has its faults, and a pass of this module runs it
+    assert set(paths) == RUN_BY.keys() and set(RUN_BY.values()) == PASSES.keys()
     assert min(paths.values()) >= 5
