@@ -6,7 +6,7 @@ import pytest
 
 from driftnet.adwin import Adwin, epsilon_cut
 from driftnet.prng import make_rng
-from test_twins import OneValueAtATime, check_detector, naive_splits_ok
+from test_twins import OneValueAtATime, check_detector, detector_case, naive_splits_ok
 
 
 def test_epsilon_cut_worked_value():
@@ -123,6 +123,15 @@ def test_detection_count_accumulates():
             det.add(min(max(level + 0.05 * (rng.random() - 0.5), 0.0), 1.0))
     assert det.n_detections >= 3
     assert det.n_added == 2000
+
+
+@pytest.mark.parametrize("check_interval", [1, 32])
+@pytest.mark.parametrize("capacity", [64, 2000])
+@pytest.mark.parametrize("steps", [False, True])
+def test_cut_sequence_matches_one_value_at_a_time(check_interval, capacity, steps):
+    # the harness's fixed case scan-<steps|level>-<capacity>-<interval> under its older id,
+    # with its pins; the case is cached
+    detector_case(("steps" if steps else "level", capacity, check_interval))
 
 
 @pytest.mark.parametrize("capacity", [2, 3])

@@ -15,7 +15,7 @@ from driftnet.network import (
     weighted_sample_without_replacement,
 )
 from driftnet.prng import make_rng
-from test_twins import net_from_adj, random_connected_graph, worst_oracle_gaps
+from test_twins import net_from_adj, random_connected_graph, window_case, worst_oracle_gaps
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +76,13 @@ def test_node_stats_phi_matches_recomputation():
         errs.append(e)
         expected = math.sqrt(math.fsum(v * v for v in errs) / len(errs))
         assert abs(stats.phi - expected) < 1e-9
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 100])
+@pytest.mark.parametrize("kind", ["zero", "tiny", "huge", "mixed"])
+def test_error_windows_equal_the_deque_window_byte_for_byte(length, kind):
+    # the harness's fixed case ring-<kind>-<length> under its older id; the case is cached
+    window_case((kind, length))
 
 
 # ---------------------------------------------------------------------------

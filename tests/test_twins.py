@@ -36,7 +36,10 @@ this module must catch: ``python3 tools/mutants.py`` applies each one to
 a copy of ``src/driftnet`` and reruns this module alone against it.
 Another test module makes a twin comparison only in a row that also
 pins something else, such as a hand-driven bank scenario or the tiny
-windows that cannot cut. The twins and the shared test streams are
+windows that cannot cut; ``tests/test_network.py`` and
+``tests/test_adwin.py`` also run the fixed ring and scan cases under
+the ids they had before they moved here, at no cost, as each case's
+result is cached. The twins and the shared test streams are
 defined here alone; other test modules import them from here.
 """
 
