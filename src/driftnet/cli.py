@@ -214,13 +214,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    flags = {"preset": args.preset, "length": args.length, "dim": args.dim,
+    flags = {"preset": args.preset, "length": args.length, "dim": args.dim, "seeds": args.seed,
              "drift_times": args.drift_times, "drift_widths": args.drift_widths}
     config = config_from_mapping({key: str(value) for key, value in flags.items()
                                   if value is not None}, full_scale=args.full)
     header = ",".join(f"x{i}" for i in range(config.dim)) + ",y"
     lines = (",".join(repr(float(v)) for v in instance.x) + f",{instance.y!r}"
-             for instance in _build_instances(config, args.seed))
+             for instance in _build_instances(config, config.seeds[0]))
     _write_lines(sys.stdout if args.out is None else args.out, header, lines, "stream")
     if args.out is not None:
         print(f"wrote {config.length} instances to {args.out}")

@@ -60,8 +60,8 @@ class ErrorScale:
     """
 
     def __init__(self, fixed: float | None = None):
-        if fixed is not None and fixed <= 0:
-            raise ValueError(f"error_scale must be positive, got {fixed}")
+        if fixed is not None and not 0 < fixed < math.inf:
+            raise ValueError(f"error_scale must be {'positive' if fixed <= 0 else 'finite'}, got {fixed}")
         self.fixed = fixed
         self._running_max = 0.0
         self._observed = -1  # errors taken into the max; the first is skipped
@@ -129,8 +129,8 @@ class SfnrConfig:
             raise ValueError("buffer_size must be positive")
         if self.mode == "period" and self.period < 1:
             raise ValueError("period must be positive")
-        if self.mode == "period" and self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
+        if self.mode == "period" and not 0 <= self.threshold < math.inf:
+            raise ValueError(f"threshold must be {'non-negative' if self.threshold < 0 else 'finite'}")
 
 
 class ScaleFreeRegressor:
@@ -175,8 +175,7 @@ class ScaleFreeRegressor:
 
     @learners.setter
     def learners(self, learners: dict[int, OnlineRegressor]) -> None:
-        # a bank with no prototype keeps the given objects and never moves them into rows
-        self.bank = ExpertBank(None, self.config.k_max)
+        self.bank = ExpertBank(self.prototype, self.config.k_max)
         for expert_id in sorted(learners):
             self.bank.append(expert_id, learners[expert_id])
 
@@ -225,6 +224,8 @@ class ScaleFreeRegressor:
         current instance, and the event when the trigger fires, else None.
         """
         if self.config.mode == "adwin":
+            if not math.isfinite(diff):  # kept from scale and detector; the runner names the forecast
+                return None
             self.scale.observe(diff)
             if not self.detector.add(self.scale.normalize(diff)):
                 return None
@@ -258,7 +259,7 @@ class ScaleFreeRegressor:
     def _add_expert(self, training_window: list[Instance]) -> None:
         """Add an expert trained on the window, attach it, and reweigh the vote."""
         expert_id = len(self.drift_log)
-        self.bank.add_trained(expert_id, self.prototype, training_window)
+        self.bank.add_trained(expert_id, training_window)
         self.network.add_node(expert_id, self.rng)
         for node_id, zeta in self.network.centrality(self.config.metric).items():
             self.network.nodes[node_id].zeta = zeta
@@ -282,16 +283,14 @@ class AddExpRegressor:
                  tau: float = 0.05, k_max: int = 10, error_scale: float | None = None):
         if not 0.0 < beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if gamma <= 0 or tau <= 0:
-            raise ValueError("gamma and tau must be positive")
-        self.prototype = prototype
+        if not (0 < gamma < math.inf and 0 < tau < math.inf):
+            raise ValueError(f"gamma and tau must be {'positive' if min(gamma, tau) <= 0 else 'finite'}")
         self.beta = beta
         self.gamma = gamma
         self.tau = tau
-        self.k_max = k_max
         self.scale = ErrorScale(error_scale)
         self.bank = ExpertBank(prototype, k_max)
-        self.bank.add_trained(0, prototype, ())
+        self.bank.add_trained(0, ())
         self.weights: list[float] = [1.0]
         self.drift_log: list[DriftEvent] = []
 
@@ -317,11 +316,11 @@ class AddExpRegressor:
         ensemble_loss = min(self.scale.normalize(prediction - y), 1.0)
         if ensemble_loss > self.tau:
             self.drift_log.append(DriftEvent(instance.index))
-            if len(self.weights) == self.k_max:
+            if len(self.weights) == self.bank.capacity:
                 weakest = min(range(len(self.weights)), key=lambda i: (self.weights[i], i))
                 self.bank.remove(self.bank.ids[weakest])
                 del self.weights[weakest]
-            self.bank.add_trained(len(self.drift_log), self.prototype, ())
+            self.bank.add_trained(len(self.drift_log), ())
             self.weights.append(self.gamma * math.fsum(self.weights))
         self.bank.update(x, y)
         return prediction

@@ -112,8 +112,8 @@ class SgdLinearRegressor(OnlineRegressor):
     _GRAD_CLIP = 100.0
 
     def __init__(self, learning_rate: float = 0.01):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be {'positive' if learning_rate <= 0 else 'finite'}")
         self.learning_rate = float(learning_rate)
         self.n_updates = 0
         self.weights: np.ndarray | None = None
@@ -205,14 +205,14 @@ class ExpertBank:
     """An ensemble's experts, at most ``capacity`` of them, in ascending id order.
 
     ``ids`` is ascending, the order of ``ExpertNetwork.node_ids()``;
-    ``predict`` returns the forecasts in that order. The experts are
-    learner objects, one call per expert, until a bank whose prototype
-    is exactly ``SgdLinearRegressor`` is asked to ``predict`` with two
-    or more; from then on they are rows of arrays, for good. The
-    experts of any other prototype, subclasses and wrappers included,
-    or of a bank with no prototype stay objects. On one row the array
-    step costs about twice the scalar one, and an ensemble that never
-    evolves keeps one expert for the whole stream.
+    ``predict`` returns the forecasts in that order. Every newcomer is a
+    clone of ``prototype``. The experts are learner objects, one call
+    per expert, until a bank whose prototype is exactly
+    ``SgdLinearRegressor`` is asked to ``predict`` with two or more;
+    from then on they are rows of arrays, for good. The experts of any
+    other prototype, subclasses and wrappers included, stay objects. On
+    one row the array step costs about twice the scalar one, and an
+    ensemble that never evolves keeps one expert for the whole stream.
 
     Row i holds expert ``ids[i]``: its weights and Welford mean, M2 and
     inverse standard deviation (k x d), its bias and its update count
@@ -237,10 +237,11 @@ class ExpertBank:
     ``add_trained`` warm-starts a learner on the window instead.
     """
 
-    def __init__(self, prototype: OnlineRegressor | None, capacity: int):
+    def __init__(self, prototype: OnlineRegressor, capacity: int):
         if capacity < 2:
             raise ValueError(f"k_max must be at least 2, got {capacity}: an evolution at "
                              "capacity retires an expert only beside its replacement")
+        self.prototype = prototype
         self.capacity = capacity
         self.ids: list[int] = []
         self._objects: list[OnlineRegressor] | None = []  # None once the experts are rows
@@ -351,7 +352,7 @@ class ExpertBank:
             self._trainee = False
             self._view()
 
-    def add_trained(self, expert_id: int, prototype: OnlineRegressor, window) -> None:
+    def add_trained(self, expert_id: int, window) -> None:
         """Add a newcomer trained on the instances of ``window``.
 
         A pending trainee has seen exactly those instances and becomes
@@ -359,7 +360,7 @@ class ExpertBank:
         warm-started on them.
         """
         if not self._trainee:
-            self.append(expert_id, warm_start(prototype, window))
+            self.append(expert_id, warm_start(self.prototype, window))
             return
         self._check_room(expert_id)
         k = len(self.ids)

@@ -168,16 +168,17 @@ class ExpertNetwork:
         self.adj: dict[int, set[int]] = {}
 
     @classmethod
-    def from_edges(cls, node_ids, edges, m_a: int = 2) -> "ExpertNetwork":
-        """Build a network with a fixed topology."""
-        net = cls(m_a=m_a)
+    def from_edges(cls, node_ids, edges) -> "ExpertNetwork":
+        """Build a network with a fixed, connected topology."""
+        net = cls()
         for v in node_ids:
             net._new_node(v)
         for u, v in edges:
             if u == v or u not in net.nodes or v not in net.nodes:
                 raise ValueError(f"bad edge ({u}, {v})")
             net._add_edge(u, v)
-        net._assert_connected("from_edges")
+        if not net.is_connected():
+            raise ValueError("from_edges needs a connected graph")
         return net
 
     def __len__(self) -> int:
@@ -212,7 +213,6 @@ class ExpertNetwork:
             m = min(self.m_a, len(existing))
             for pick in weighted_sample_without_replacement(probs, m, rng):
                 self._add_edge(node_id, existing[pick])
-        self._assert_connected("add_node")
 
     def remove_node(self, victim_id: int, rng: np.random.Generator) -> None:
         """Remove a node and rewire any components it held together.
@@ -238,7 +238,6 @@ class ExpertNetwork:
                 orphan = comp[int(rng.integers(len(comp)))]
                 pick = weighted_sample_without_replacement(probs, 1, rng)[0]
                 self._add_edge(orphan, largest[pick])
-        self._assert_connected("remove_node")
 
     def worst_node(self) -> int:
         """Node id with the highest error, lowest id winning ties."""
@@ -295,10 +294,6 @@ class ExpertNetwork:
             raise ValueError("self-loops are not allowed")
         self.adj[u].add(v)
         self.adj[v].add(u)
-
-    def _assert_connected(self, op: str) -> None:
-        if not self.is_connected():
-            raise RuntimeError(f"network disconnected after {op}")
 
     def _components(self) -> list[list[int]]:
         remaining = set(self.nodes)

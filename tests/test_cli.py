@@ -127,6 +127,9 @@ def test_run_bad_sfnr_setting_is_usage_error(tmp_path, capsys, monkeypatch, sett
     assert message in capsys.readouterr().err
 
 
+_FLOAT_KEYS = ("learning_rate", "threshold", "error_scale", "gamma", "tau")
+
+
 @pytest.mark.parametrize("settings, message", [
     ("metric = katz\n", "unknown metric 'katz'"),
     ("delta = 1.5\n", "delta must lie in (0, 1), got 1.5"),
@@ -142,6 +145,9 @@ def test_run_bad_sfnr_setting_is_usage_error(tmp_path, capsys, monkeypatch, sett
     ("algorithm = addexp\nkmax = 1\n", "k_max must be at least 2, got 1"),
     ("learner = ema\nema_window = 0\n", "EMA window must be positive, got 0"),
     ("algorithm = addexp\nerror_scale = -1\n", "error_scale must be positive, got -1.0"),
+    # a non-finite value would run silently: an infinite error_scale, say, makes every normalized error 0
+    *((f"{key} = {value}\n", f"{'gamma and tau' if key in ('gamma', 'tau') else key} must be finite")
+      for key in _FLOAT_KEYS for value in ("nan", "inf")),
     # settings the run does not read: the run's own model reports first
     ("learner = ema\nperiod = 0\nthreshold = -1\nlearning_rate = -5\nbeta = 7\n",
      "period must be positive"),
@@ -149,7 +155,8 @@ def test_run_bad_sfnr_setting_is_usage_error(tmp_path, capsys, monkeypatch, sett
      "capacity must be positive"),
 ], ids=["metric", "delta", "ma", "capacity", "check_interval", "error_scale", "learning_rate",
         "beta", "gamma", "tau", "kmax-addexp", "kmax-1-addexp", "ema_window",
-        "error_scale-addexp", "unread-by-adwin-ema", "unread-by-period"])
+        "error_scale-addexp", *(f"{key}-{value}" for key in _FLOAT_KEYS for value in ("nan", "inf")),
+        "unread-by-adwin-ema", "unread-by-period"])
 def test_run_setting_checked_by_its_owner_is_usage_error(tmp_path, capsys, monkeypatch,
                                                          settings, message):
     # each setting is checked once, by the component built from it, before any seed runs
@@ -344,6 +351,15 @@ def test_gen_to_stdout(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "x0,x1,y"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("seed", ["18446744073709551617", "-1"], ids=["2**64-past-1", "negative"])
+def test_gen_seed_outside_64_bits_is_usage_error(capsys, seed):
+    # make_rng reduces a seed modulo 2**64: 2**64 + 1 would write the stream of seed 1
+    assert main(["gen", "--length", "50", "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert "seeds must lie in [0, 2**64)" in captured.err
+    assert captured.out == ""
 
 
 def test_gen_mismatched_drift_args_rejected(capsys):

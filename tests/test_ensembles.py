@@ -388,9 +388,8 @@ def test_sgd_bank_matches_the_object_path(case, monkeypatch):
         window and replayed_for.append(type(proto)), warm_start(proto, window))[1])
 
     def watch(model, inst):
-        # the setter's bank holds the SGD experts as objects
-        on_rows = type(model.prototype) is SgdLinearRegressor and inst.index < (reassign_at or 3000)
-        _assert_bank_storage(model, on_rows, inst.index)
+        # the setter's bank moves its SGD experts into rows at its first forecast
+        _assert_bank_storage(model, type(model.prototype) is SgdLinearRegressor, inst.index)
         if inst.index + 1 == reassign_at:
             model.learners = model.learners
         if cfg["mode"] == "period" and (inst.index + 1) % cfg["period"] == 0:
@@ -404,9 +403,9 @@ def test_sgd_bank_matches_the_object_path(case, monkeypatch):
     if cfg["threshold"] > 0:
         assert evolutions < 3000 // cfg["period"]
     # the loop replays every window; in period mode the bank replays only
-    # the first, into a bank of one, and those after it was replaced
-    late = sum(e.index > (reassign_at or 3000) for e in bank.drift_log)
-    on_rows = evolutions if cfg["mode"] == "adwin" else 1 + late
+    # the first, into a bank of one, and, when it is replaced after a
+    # trainee opened, the window that trainee was learning
+    on_rows = evolutions if cfg["mode"] == "adwin" else 1 + (reassign_at is not None)
     assert [replayed_for.count(SgdLinearRegressor), replayed_for.count(PassThrough)] == [on_rows, evolutions]
 
 
@@ -603,7 +602,7 @@ def test_addexp_sgd_bank_matches_the_object_path(k_max):
     for error_scale, first_addition in ((None, 1), (1e5, 0)):
         _, bank = check_ensemble(
             lambda p: AddExpRegressor(p, k_max=k_max, error_scale=error_scale), stream, 0.1,
-            lambda model, inst: _assert_bank_storage(model, type(model.prototype) is SgdLinearRegressor,
+            lambda model, inst: _assert_bank_storage(model, type(model.bank.prototype) is SgdLinearRegressor,
                                                      inst.index))
         assert bank.drift_log[0] == DriftEvent(first_addition)
         assert len(bank.drift_log) > k_max  # experts were pruned too

@@ -22,7 +22,7 @@ from driftnet.evaluation import (
     summarize,
 )
 from driftnet.ensembles import DriftEvent
-from driftnet.learners import OnlineRegressor
+from driftnet.learners import OnlineRegressor, RunningMeanRegressor
 from driftnet.prng import make_rng
 
 
@@ -224,6 +224,24 @@ def test_nan_prediction_aborts_with_diagnostic(monkeypatch):
         run_experiment(_tiny_config())
     assert "single_learner" in str(exc.value)
     assert "3" in str(exc.value)
+
+
+class _InfiniteFourthForecast(RunningMeanRegressor):
+    def predict(self, x):
+        return math.inf if self._count == 3 else super().predict(x)
+
+    def clone_fresh(self):
+        return _InfiniteFourthForecast()
+
+
+@pytest.mark.parametrize("algorithm", ["sfnr_adwin", "sfnr_period", "addexp"])
+def test_non_finite_ensemble_forecast_is_named_by_the_runner(monkeypatch, algorithm):
+    # the adwin trigger passes a non-finite error to neither its scale nor
+    # its detector, so every ensemble leaves the diagnosis to the runner
+    monkeypatch.setattr(evaluation, "_build_prototype", lambda config: _InfiniteFourthForecast())
+    with pytest.raises(RuntimeError, match=f"^{algorithm} produced a non-finite prediction "
+                                           r"at instance 3 \(seed 1\)$"):
+        run_experiment(_tiny_config(algorithm=algorithm))
 
 
 def test_missing_dataset_fails_before_processing():

@@ -285,22 +285,22 @@ def test_sgd_bank_trainee_is_a_warm_start_without_the_replay(capacity):
     run(stream[260:280])
     bank.remove(0)
     del ref[0]
-    bank.add_trained(capacity, SgdLinearRegressor(0.1), stream[260:280])  # no trainee: a warm start
+    bank.add_trained(capacity, stream[260:280])  # no trainee: a warm start
     ref[capacity] = warm_start(SgdLinearRegressor(0.1), stream[260:280])
     assert learner_state(bank.learners()[capacity]) == learner_state(ref[capacity])
     bank.open_trainee()
     window = stream[280:400]
     run(window)
     with pytest.raises(ValueError, match="full"):
-        bank.add_trained(capacity + 1, SgdLinearRegressor(0.1), window)
+        bank.add_trained(capacity + 1, window)
     victim = bank.ids[len(bank.ids) // 2]
     bank.remove(victim)  # at capacity 2 one expert is left on rows, beside the trainee
     del ref[victim]
     with pytest.raises(ValueError, match="a trainee holds the next row"):
         bank.append(capacity + 1, SgdLinearRegressor(0.1))
     with pytest.raises(ValueError, match="the trainee saw 120 instances but the window holds 119"):
-        bank.add_trained(capacity + 1, SgdLinearRegressor(0.1), window[1:])
-    bank.add_trained(capacity + 1, SgdLinearRegressor(0.1), window)
+        bank.add_trained(capacity + 1, window[1:])
+    bank.add_trained(capacity + 1, window)
     ref[capacity + 1] = warm_start(SgdLinearRegressor(0.1), window)
     assert learner_state(bank.learners()[capacity + 1]) == learner_state(ref[capacity + 1])
     run(stream[:30])
@@ -314,7 +314,7 @@ def test_sgd_bank_of_one_opens_no_trainee():
     bank.open_trainee()
     for inst in window:
         bank.update(inst.x, inst.y)
-    bank.add_trained(1, SgdLinearRegressor(0.1), window)  # warm-started on the window instead
+    bank.add_trained(1, window)  # warm-started on the window instead
     assert learner_state(bank.learners()[1]) == learner_state(warm_start(SgdLinearRegressor(0.1), window))
 
 

@@ -199,6 +199,8 @@ def test_disconnected_graph_rejected():
     net.adj[1].discard(0)
     with pytest.raises(ValueError):
         net.centrality("degree")
+    with pytest.raises(ValueError, match="from_edges needs a connected graph"):
+        ExpertNetwork.from_edges([0, 1, 2], [(0, 1)])
 
 
 def test_path_betweenness_frozen():
