@@ -30,7 +30,6 @@ from .evaluation import (
     _reject_stream_shape,
     _write_lines,
 )
-from .streams import StreamFormatError
 
 
 class _UsageError(Exception):
@@ -45,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 def parse_config_file(path) -> dict[str, str]:
     """Read a flat key=value config file into a string mapping."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}") from exc
@@ -184,7 +183,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--preset", help="borrow stream shape from a preset")
     gen.add_argument("--length", type=int, help="number of instances")
     gen.add_argument("--dim", type=int, help="feature dimension")
-    gen.add_argument("--seed", type=int, default=1, help="stream seed")
+    gen.add_argument("--seed", type=int, help="stream seed")
     gen.add_argument("--drift-times", help="comma-separated drift midpoints")
     gen.add_argument("--drift-widths", help="comma-separated drift widths")
     gen.add_argument("--out", help="output CSV path (default: stdout)")
@@ -228,25 +227,17 @@ def _cmd_gen(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "gen":
             return _cmd_gen(args)
         print(describe_presets())
         return 0
-    except _UsageError as exc:
+    except (_UsageError, OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (StreamFormatError, OSError, RuntimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _UsageError) else 2
 
 
 if __name__ == "__main__":

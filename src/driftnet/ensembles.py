@@ -32,11 +32,12 @@ events logged when it joined.
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections import deque
 from dataclasses import dataclass
 
-from .adwin import Adwin
+from .adwin import Adwin, epsilon_cut
 from .learners import ExpertBank, OnlineRegressor
 from .network import ExpertNetwork
 from .prng import make_rng
@@ -46,8 +47,13 @@ _WEIGHT_FLOOR_REL = 1e-12
 _SCALE_WARMUP = 500
 
 
+def _default(owner, name: str):
+    """The default of argument ``name`` to ``owner``'s constructor."""
+    return inspect.signature(owner).parameters[name].default
+
+
 class ErrorScale:
-    """Normalizer mapping raw absolute errors into [0, 1].
+    """Normalizer dividing raw absolute errors by a scale, so that most fall in [0, 1].
 
     Either a fixed known scale (for synthetic streams the target range
     is known in advance) or a running maximum over the first
@@ -57,6 +63,10 @@ class ErrorScale:
     forecast (an EMA's 0 against a price near 100) says nothing about
     the stream. The warm-up lasts until some error is nonzero, so an
     all-zero start cannot freeze the scale at 0.
+
+    ``normalize`` does not clamp, so an error above the scale maps above
+    1. Its consumers bound it: ``Adwin.add`` clamps into [0, 1] and
+    counts each clamp in ``n_clamped``, and AddExp takes ``min(..., 1.0)``.
     """
 
     def __init__(self, fixed: float | None = None):
@@ -99,7 +109,7 @@ class DriftEvent:
     width_after: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SfnrConfig:
     """Parameters of the network ensemble.
 
@@ -107,20 +117,27 @@ class SfnrConfig:
     are simply ignored. ``error_scale`` of None selects the frozen
     running-max normalizer of ``ErrorScale``. ``metric``, ``k_max``,
     ``m_a``, ``delta`` and ``error_scale`` are checked by the components
-    built from them.
+    built from them. The defaults of ``m_a`` and of the detector's
+    ``delta``, ``adwin_capacity`` and ``adwin_check_interval`` are read
+    from ``ExpertNetwork`` and ``Adwin``; ``k_max`` is the default of
+    ``AddExpRegressor`` too.
+
+    Frozen: the ensemble fixes its trainee position and its detector
+    when built, and reads ``mode``, ``period`` and ``threshold`` again on
+    every instance, so a later assignment would put the two out of step.
     """
 
     metric: str = "eigenvector"
     k_max: int = 10
-    m_a: int = 2
+    m_a: int = _default(ExpertNetwork, "m_a")
     mode: str = "adwin"
     period: int = 1000
     threshold: float = 0.08
-    delta: float = 0.1
+    delta: float = _default(Adwin, "delta")
     buffer_size: int = 500
     error_scale: float | None = None
-    adwin_capacity: int = 5000
-    adwin_check_interval: int = 32
+    adwin_capacity: int = _default(Adwin, "capacity")
+    adwin_check_interval: int = _default(Adwin, "check_interval")
 
     def validate(self) -> None:
         if self.mode not in ("period", "adwin"):
@@ -134,7 +151,12 @@ class SfnrConfig:
 
 
 class ScaleFreeRegressor:
-    """Dynamically sized, network-organized ensemble regressor."""
+    """Dynamically sized, network-organized ensemble regressor.
+
+    In adwin mode it refuses a detector window that no input in [0, 1]
+    can cut: one where even the balanced split of a full window has an
+    ``epsilon_cut`` above 1.
+    """
 
     def __init__(self, prototype: OnlineRegressor, config: SfnrConfig | None = None,
                  seed: int = 0):
@@ -162,6 +184,9 @@ class ScaleFreeRegressor:
                 capacity=self.config.adwin_capacity,
                 check_interval=self.config.adwin_check_interval,
             )
+            c, delta = self.detector.capacity, self.detector.delta
+            if c < 2 or epsilon_cut(c // 2, c - c // 2, c, delta) > 1:
+                raise ValueError(f"capacity {c} can never cut at delta {delta}: every epsilon_cut exceeds 1")
         self._add_expert([])
 
     @property
@@ -280,7 +305,7 @@ class AddExpRegressor:
     """
 
     def __init__(self, prototype: OnlineRegressor, beta: float = 0.5, gamma: float = 0.1,
-                 tau: float = 0.05, k_max: int = 10, error_scale: float | None = None):
+                 tau: float = 0.05, k_max: int = SfnrConfig.k_max, error_scale: float | None = None):
         if not 0.0 < beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         if not (0 < gamma < math.inf and 0 < tau < math.inf):

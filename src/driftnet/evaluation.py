@@ -17,14 +17,13 @@ result assembly is ordered by seed, never by completion.
 from __future__ import annotations
 
 import csv
-import inspect
 import math
 import os
 import time
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
-from .ensembles import AddExpRegressor, ScaleFreeRegressor, SfnrConfig
+from .ensembles import AddExpRegressor, ScaleFreeRegressor, SfnrConfig, _default
 from .learners import EmaForecaster, OnlineRegressor, RunningMeanRegressor, SgdLinearRegressor
 from .network import SquaredErrorWindow
 from .prng import derive_seed
@@ -79,11 +78,6 @@ _RESULT_TYPES = get_type_hints(ResultRow)
 RESULT_HEADER = ",".join(_RESULT_TYPES)
 
 
-def _default(owner, name: str):
-    """The default of argument ``name`` to ``owner``'s constructor."""
-    return inspect.signature(owner).parameters[name].default
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one experiment.
@@ -126,7 +120,7 @@ class ExperimentConfig:
     tau: float = _default(AddExpRegressor, "tau")
     seeds: tuple[int, ...] = (1,)
     report_every: int = 1000
-    window_size: int = 10_000
+    window_size: int = _default(PrequentialWindow, "window_size")
     out: str | None = None
     drift_log_out: str | None = None
     record_timing: bool = True
@@ -159,6 +153,11 @@ class ExperimentConfig:
                 raise ValueError("length = 0 makes an empty stream")
         else:
             _reject_stream_shape(self, lambda key: getattr(self, key) != getattr(ExperimentConfig, key))
+        files: dict[str, str] = {}
+        for key in ("data_path", "out", "drift_log_out"):
+            path = getattr(self, key)
+            if path is not None and (other := files.setdefault(os.path.realpath(path), key)) != key:
+                raise ValueError(f"{other} and {key} name the same file {path!r}")
         for algorithm in dict.fromkeys((self.algorithm, *ALGORITHMS)):
             _build_algorithm(replace(self, algorithm=algorithm), self.seeds[0])
         for learner in LEARNERS:
@@ -186,7 +185,7 @@ def _build_instances(config: ExperimentConfig, seed: int):
     A data file with no data rows is a StreamFormatError that names it.
     """
     if config.data_path is not None:
-        with open(config.data_path, "r", encoding="utf-8") as fh:
+        with open(config.data_path, "r", encoding="utf-8-sig") as fh:
             target = config.target
             instances = parse_yahoo_csv(fh) if target is None else parse_regression_csv(fh, target)
         if not instances:
@@ -282,8 +281,10 @@ def run_experiment_detailed(config: ExperimentConfig, max_workers: int = 1
     order, so serial and parallel runs produce identical output.
     """
     config.validate()
-    if config.data_path is not None and not os.path.isfile(config.data_path):
-        raise FileNotFoundError(f"dataset file not found: {config.data_path}")
+    # the outputs are written after the last seed, so find a missing directory before the first
+    for path in (config.out, config.drift_log_out):
+        if path is not None and not os.path.isdir(folder := os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"cannot write {path}: no directory {folder}")
     seeds = sorted(set(config.seeds))
     # a file stream does not depend on the seed: parse it once, and ship its blocks and targets to a pool
     parsed = _build_instances(config, seeds[0]) if config.data_path is not None else None
@@ -409,7 +410,6 @@ def _hyperplane_preset(name: str, desc: str, full_times: tuple[int, ...],
         drift_widths=widths,
         window_size=100_000,
         report_every=10_000,
-        seeds=(1,),
     )
     desk_times = tuple(t // 10 for t in full_times)
     desk = replace(full, length=100_000, drift_times=desk_times,

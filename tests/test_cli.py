@@ -153,10 +153,12 @@ _FLOAT_KEYS = ("learning_rate", "threshold", "error_scale", "gamma", "tau")
      "period must be positive"),
     ("algorithm = sfnr_period\ncapacity = 0\ncheck_interval = 0\nema_window = 0\n",
      "capacity must be positive"),
+    # at delta 0.1 even a full 12-value window's balanced split needs a mean gap above 1
+    ("algorithm = sfnr_period\ncapacity = 12\n", "capacity 12 can never cut at delta 0.1"),
 ], ids=["metric", "delta", "ma", "capacity", "check_interval", "error_scale", "learning_rate",
         "beta", "gamma", "tau", "kmax-addexp", "kmax-1-addexp", "ema_window",
         "error_scale-addexp", *(f"{key}-{value}" for key in _FLOAT_KEYS for value in ("nan", "inf")),
-        "unread-by-adwin-ema", "unread-by-period"])
+        "unread-by-adwin-ema", "unread-by-period", "capacity-never-cuts-unread-by-period"])
 def test_run_setting_checked_by_its_owner_is_usage_error(tmp_path, capsys, monkeypatch,
                                                          settings, message):
     # each setting is checked once, by the component built from it, before any seed runs
@@ -296,6 +298,64 @@ def test_run_unwritable_output_is_runtime_error(tmp_path, capsys):
     assert main(["run", cfg]) == 2
 
 
+@pytest.mark.parametrize("key", ["out", "drift_log"])
+def test_run_output_in_a_missing_directory_fails_before_any_seed_runs(tmp_path, capsys,
+                                                                     monkeypatch, key):
+    def no_seed_runs(*args):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(evaluation, "_run_single_seed", no_seed_runs)
+    out = tmp_path / "no-such-dir" / "r.csv"
+    cfg = write_config(tmp_path, BASIC + f"{key} = {out}\n")
+    assert main(["run", cfg]) == 2
+    assert f"cannot write {out}: no directory {out.parent}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first, second", [("data", "out"), ("data", "drift_log"),
+                                           ("out", "drift_log")],
+                         ids=["data-out", "data-drift_log", "out-drift_log"])
+def test_run_naming_one_file_twice_is_usage_error(tmp_path, capsys, monkeypatch, first, second):
+    # a write after the last seed would replace the stream, or one output the other
+    def no_seed_runs(*args):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(evaluation, "_run_single_seed", no_seed_runs)
+    (tmp_path / "sub").mkdir()
+    files = {"data": tmp_path / "data.csv", "out": tmp_path / "r.csv", "drift_log": tmp_path / "d.csv"}
+    files[second] = tmp_path / "sub" / ".." / files[first].name  # another spelling of one path
+    files["data"].write_text("x0,x1,y\n0.5,0.25,1.0\n")
+    before = files["data"].read_bytes()
+    cfg = write_config(tmp_path, "target = y\n" + "".join(f"{k} = {v}\n" for k, v in files.items()))
+    assert main(["run", cfg]) == 1
+    fields_of = {"data": "data_path", "out": "out", "drift_log": "drift_log_out"}
+    assert (f"{fields_of[first]} and {fields_of[second]} name the same file {str(files[second])!r}"
+            in capsys.readouterr().err)
+    assert files["data"].read_bytes() == before
+
+
+_QUOTES = ("Date,Open,High,Low,Close,Volume,Adj Close\n"
+           "2014-01-02,18.0,18.5,17.5,18.2,2000,18.1\n"
+           "2014-01-03,19.0,19.5,18.5,19.2,2100,19.1\n")
+
+
+@pytest.mark.parametrize("marked, stream, settings", [
+    ("config", "x0,x1,x2,y\n0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0.8\n", "target = y\n"),
+    ("data", _QUOTES, "learner = ema\n"),
+    ("data", "x0,x1,x2,y\n0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0.8\n", "target = x0\n"),
+], ids=["config", "quotes", "numeric-first-column-target"])
+def test_run_skips_a_leading_byte_order_mark(tmp_path, capsys, marked, stream, settings):
+    # some editors save UTF-8 with a byte-order mark, which is no part of the first key or cell
+    outputs = []
+    for mark in ("", "\ufeff"):
+        data, cfg = tmp_path / "data.csv", tmp_path / "exp.cfg"
+        data.write_text((mark if marked == "data" else "") + stream, encoding="utf-8")
+        cfg.write_text((mark if marked == "config" else "") + f"algorithm = single_learner\n"
+                       f"data = {data}\ntiming = false\n" + settings, encoding="utf-8")
+        assert main(["run", str(cfg)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 1
 
@@ -333,6 +393,13 @@ def test_gen_seed_changes_content(tmp_path):
     main(["gen", "--length", "50", "--seed", "1", "--out", str(a)])
     main(["gen", "--length", "50", "--seed", "2", "--out", str(b)])
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_gen_without_seed_writes_the_config_default_seed(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    main(["gen", "--length", "50", "--seed", str(ExperimentConfig.seeds[0]), "--out", str(a)])
+    main(["gen", "--length", "50", "--out", str(b)])
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_gen_output_round_trips_as_stream(tmp_path):

@@ -1,5 +1,6 @@
 """Network-ensemble and additive-expert baseline tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -160,6 +161,22 @@ def test_config_validation():
     with pytest.raises(ValueError, match="buffer_size must be positive"):
         ScaleFreeRegressor(ConstantLearner(0.0), SfnrConfig(buffer_size=0))
     ScaleFreeRegressor(ConstantLearner(0.0), SfnrConfig(k_max=2))
+
+
+def test_config_is_frozen():
+    # the ensemble fixes its trainee position and detector when built, and
+    # reads mode, period and threshold on every instance
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SfnrConfig().delta = 0.5
+
+
+def test_adwin_mode_refuses_a_detector_that_can_never_cut():
+    # errors reach the detector in [0, 1]; at delta 0.1 the balanced split of
+    # a full 12-value window needs a mean gap above 1, and of 13 values less
+    with pytest.raises(ValueError, match="^capacity 12 can never cut at delta 0.1: "):
+        ScaleFreeRegressor(ConstantLearner(0.0), SfnrConfig(delta=0.1, adwin_capacity=12))
+    ScaleFreeRegressor(ConstantLearner(0.0), SfnrConfig(delta=0.1, adwin_capacity=13))
+    ScaleFreeRegressor(ConstantLearner(0.0), SfnrConfig(mode="period", adwin_capacity=12))
 
 
 # ---------------------------------------------------------------------------
