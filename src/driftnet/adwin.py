@@ -71,16 +71,22 @@ class Adwin:
     delta : float
         Confidence level in (0, 1); smaller means fewer, surer cuts.
     capacity : int
-        Hard cap on stored values; the oldest are evicted silently.
+        Hard cap on stored values; the oldest are evicted silently. At
+        most ``MAX_CAPACITY``, checked before the buffer and the tables
+        are allocated for it.
     check_interval : int
         Run the split scan every this many additions (1 = every add).
     """
+
+    MAX_CAPACITY = 10 ** 6
 
     def __init__(self, delta: float = 0.1, capacity: int = 5000, check_interval: int = 32):
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
         if capacity < 1:
             raise ValueError("capacity must be positive")
+        if capacity > self.MAX_CAPACITY:
+            raise ValueError(f"capacity must be at most {self.MAX_CAPACITY:_}, got {capacity}")
         if check_interval < 1:
             raise ValueError("check_interval must be positive")
         self.delta = float(delta)

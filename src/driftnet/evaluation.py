@@ -23,6 +23,8 @@ import time
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
+import numpy as np
+
 from .ensembles import AddExpRegressor, ScaleFreeRegressor, SfnrConfig, _default
 from .learners import EmaForecaster, OnlineRegressor, RunningMeanRegressor, SgdLinearRegressor
 from .network import SquaredErrorWindow
@@ -48,9 +50,13 @@ LEARNERS = ("linear", "ema", "mean")
 class PrequentialWindow(SquaredErrorWindow):
     """Sliding window of squared prediction errors reporting windowed RMSE."""
 
+    MAX_SIZE = 10 ** 7  # slots allocated up front, so a size is capped before they are
+
     def __init__(self, window_size: int = 10_000):
         if window_size < 1:
             raise ValueError("window_size must be positive")
+        if window_size > self.MAX_SIZE:
+            raise ValueError(f"window_size must be at most {self.MAX_SIZE:_}, got {window_size}")
         super().__init__(window_size)
 
     def update(self, prediction: float, truth: float) -> float:
@@ -256,17 +262,17 @@ def _run_single_seed(config: ExperimentConfig, seed: int, instances=None
             elapsed_ns=elapsed,
         )
 
-    for instance in instances:
-        prediction = model.process(instance)
-        if not math.isfinite(prediction):
-            raise RuntimeError(
-                f"{config.algorithm} produced a non-finite prediction at instance "
-                f"{instance.index} (seed {seed})"
-            )
-        window.update(prediction, instance.y)
-        count += 1
-        if count % config.report_every == 0:
-            rows.append(checkpoint())
+    # an overflow or a nan is reported by the check below, not warned of on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for instance in instances:
+            prediction = model.process(instance)
+            if not math.isfinite(window.update(prediction, instance.y)):
+                what = ("produced a non-finite prediction" if not math.isfinite(prediction)
+                        else "made squared errors whose sum overflows")
+                raise RuntimeError(f"{config.algorithm} {what} at instance {instance.index} (seed {seed})")
+            count += 1
+            if count % config.report_every == 0:
+                rows.append(checkpoint())
     if count % config.report_every != 0:
         rows.append(checkpoint())
     drift_entries = [(config.algorithm, seed, event.index) for event in model.drift_log]
@@ -281,9 +287,13 @@ def run_experiment_detailed(config: ExperimentConfig, max_workers: int = 1
     order, so serial and parallel runs produce identical output.
     """
     config.validate()
-    # the outputs are written after the last seed, so find a missing directory before the first
+    # the outputs are written after the last seed, so find a path that cannot be one before the first
     for path in (config.out, config.drift_log_out):
-        if path is not None and not os.path.isdir(folder := os.path.dirname(os.path.abspath(path))):
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(folder := os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(f"cannot write {path}: no directory {folder}")
     seeds = sorted(set(config.seeds))
     # a file stream does not depend on the seed: parse it once, and ship its blocks and targets to a pool

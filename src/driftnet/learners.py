@@ -121,21 +121,12 @@ class SgdLinearRegressor(OnlineRegressor):
         self._mean: np.ndarray | None = None
         self._m2: np.ndarray | None = None
         self._inv_std: np.ndarray | None = None
-        self._scratch: np.ndarray | None = None
-
-    def _standardized(self, x: np.ndarray) -> np.ndarray:
-        # writes into the scratch buffer; callers must not keep the ref
-        out = self._scratch
-        np.subtract(x, self._mean, out=out)
-        np.multiply(out, self._inv_std, out=out)
-        return out
 
     def predict(self, x) -> float:
         if self.n_updates == 0:
             return 0.0
         _check_dimension(x, self._mean.shape[0])
-        xs = self._standardized(x)
-        return float(self.weights @ xs) + self.bias
+        return float(self.weights @ ((x - self._mean) * self._inv_std)) + self.bias
 
     def update(self, x, y: float) -> None:
         if self.n_updates == 0:
@@ -144,7 +135,6 @@ class SgdLinearRegressor(OnlineRegressor):
             self._mean = np.zeros(d)
             self._m2 = np.zeros(d)
             self._inv_std = np.ones(d)
-            self._scratch = np.empty(d)
         else:
             _check_dimension(x, self._mean.shape[0])
         self.n_updates += 1
@@ -153,10 +143,8 @@ class SgdLinearRegressor(OnlineRegressor):
         self._mean += delta / n
         self._m2 += delta * (x - self._mean)
         if n >= 2:
-            var = self._m2 / (n - 1)
-            np.maximum(var, self._VAR_FLOOR, out=var)
-            np.divide(1.0, np.sqrt(var, out=var), out=self._inv_std)
-        xs = self._standardized(x)
+            self._inv_std = 1.0 / np.sqrt(np.maximum(self._m2 / (n - 1), self._VAR_FLOOR))
+        xs = (x - self._mean) * self._inv_std
         g = 2.0 * (float(self.weights @ xs) + self.bias - y)
         gnorm = abs(g) * math.sqrt(float(xs @ xs) + 1.0)
         if gnorm > self._GRAD_CLIP:
@@ -211,7 +199,7 @@ class ExpertBank:
     ``SgdLinearRegressor`` is asked to ``predict`` with two or more;
     from then on they are rows of arrays, for good. The experts of any
     other prototype, subclasses and wrappers included, stay objects. On
-    one row the array step costs about twice the scalar one, and an
+    one row the array step costs more than twice the scalar one, and an
     ensemble that never evolves keeps one expert for the whole stream.
 
     Row i holds expert ``ids[i]``: its weights and Welford mean, M2 and
@@ -221,9 +209,10 @@ class ExpertBank:
     stays byte-equal to the learner it stands for. Every step is
     elementwise except the dot products, and ``np.vecdot`` calls the
     same BLAS dot per row as ``w @ x``; a sum over ``W * xs`` would
-    round differently. Buffers hold ``capacity + 1`` rows and are
-    allocated once, at the move into rows, from the dimension of the
-    instance forecast. The dimension is checked once per ``predict``
+    round differently. The six state arrays hold ``capacity + 1`` rows
+    and are allocated once, at the move into rows, from the dimension of
+    the instance forecast; a step's intermediates are its own arrays,
+    not kept between calls. The dimension is checked once per ``predict``
     for all rows, which ``update`` then trusts, and once per trained
     learner written into a row.
 
@@ -260,10 +249,6 @@ class ExpertBank:
         self._inv_std = np.ones((c, d))
         self._bias = np.zeros(c)
         self._count = np.zeros(c)
-        self._xs = np.empty((c, d))
-        self._tmp = np.empty((c, d))
-        self._g = np.empty(c)
-        self._s = np.empty(c)
         self._untrained = False  # some row has count 0 (its next update keeps inv_std)
         for i, learner in enumerate(self._objects):
             self._write_row(i, learner)
@@ -272,14 +257,13 @@ class ExpertBank:
 
     def _view(self) -> None:
         # row views of the k experts (predict) and of them plus a pending
-        # trainee (update), rebuilt when either changes
+        # trainee (update), rebuilt when either changes; update's count and
+        # bias are columns, to broadcast against the k x d rows
         k = len(self.ids)
-        self._live = (self._w[:k], self._bias[:k], self._mean[:k], self._inv_std[:k],
-                      self._xs[:k], self._g[:k])
+        self._live = (self._w[:k], self._bias[:k], self._mean[:k], self._inv_std[:k])
         n = k + self._trainee
-        self._rows = (self._w[:n], self._bias[:n], self._mean[:n], self._m2[:n], self._inv_std[:n],
-                      self._count[:n], self._count[:n, None], self._xs[:n], self._tmp[:n],
-                      self._g[:n], self._g[:n, None], self._s[:n])
+        self._rows = (self._w[:n], self._bias[:n, None], self._mean[:n], self._m2[:n], self._inv_std[:n],
+                      self._count[:n, None])
 
     def _check_room(self, expert_id: int) -> None:
         if self.ids and expert_id <= self.ids[-1]:
@@ -378,12 +362,8 @@ class ExpertBank:
                 return [learner.predict(x) for learner in objects]
             self._into_rows(x.shape[0])
         _check_dimension(x, self._d)
-        w, bias, mean, inv_std, xs, g = self._live
-        np.subtract(x, mean, out=xs)
-        np.multiply(xs, inv_std, out=xs)
-        np.vecdot(w, xs, out=g)
-        g += bias
-        return g.tolist()
+        w, bias, mean, inv_std = self._live
+        return (np.vecdot(w, (x - mean) * inv_std) + bias).tolist()
 
     def update(self, x, y: float) -> None:
         """Train every expert on (x, y); ``x`` is the one ``predict`` just took and checked."""
@@ -391,40 +371,35 @@ class ExpertBank:
             for learner in self._objects:
                 learner.update(x, y)
             return
-        w, bias, mean, m2, inv_std, n, n_col, xs, tmp, g, g_col, s = self._rows
+        w, bias, mean, m2, inv_std, n = self._rows
         n += 1.0
-        np.subtract(x, mean, out=tmp)  # delta
-        np.divide(tmp, n_col, out=xs)
-        mean += xs
-        np.subtract(x, mean, out=xs)
-        np.multiply(tmp, xs, out=tmp)
-        m2 += tmp
-        np.subtract(n, 1.0, out=g)
+        delta = x - mean
+        mean += delta / n
+        xs = x - mean
+        m2 += delta * xs
+        divisor = n - 1.0
         if self._untrained:
-            np.maximum(g, 1.0, out=g)  # rows at their first update, masked out below
-        np.divide(m2, g_col, out=tmp)
-        np.maximum(tmp, SgdLinearRegressor._VAR_FLOOR, out=tmp)
-        np.sqrt(tmp, out=tmp)
+            np.maximum(divisor, 1.0, out=divisor)  # rows at their first update, masked out below
+        std = np.sqrt(np.maximum(m2 / divisor, SgdLinearRegressor._VAR_FLOOR))
         if self._untrained:
-            np.divide(1.0, tmp, out=inv_std, where=n_col >= 2.0)
+            np.divide(1.0, std, out=inv_std, where=n >= 2.0)
             self._untrained = False
         else:
-            np.divide(1.0, tmp, out=inv_std)
+            np.divide(1.0, std, out=inv_std)
         xs *= inv_std
-        np.vecdot(w, xs, out=g)
+        g = np.vecdot(w, xs, keepdims=True)
         g += bias
         g -= y
         g *= 2.0
-        np.vecdot(xs, xs, out=s)
-        s += 1.0
-        np.sqrt(s, out=s)
-        s *= np.abs(g)  # gradient norm
+        norm = np.vecdot(xs, xs, keepdims=True)
+        norm += 1.0
+        np.sqrt(norm, out=norm)
+        norm *= np.abs(g)
         # clip factor: _GRAD_CLIP / norm above the cap, exactly 1.0 at or below it or for nan
-        np.fmax(s, SgdLinearRegressor._GRAD_CLIP, out=s)
-        np.divide(SgdLinearRegressor._GRAD_CLIP, s, out=s)
-        g *= s
+        np.fmax(norm, SgdLinearRegressor._GRAD_CLIP, out=norm)
+        g *= SgdLinearRegressor._GRAD_CLIP / norm
         g *= self.learning_rate  # step
-        np.multiply(xs, g_col, out=xs)
+        xs *= g
         w -= xs
         bias -= g
 
@@ -444,7 +419,6 @@ class ExpertBank:
         learner._mean = self._mean[i].copy()
         learner._m2 = self._m2[i].copy()
         learner._inv_std = self._inv_std[i].copy()
-        learner._scratch = np.empty(self._d)
         return learner
 
 

@@ -3,19 +3,23 @@
 import concurrent.futures
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import driftnet.adwin
 import driftnet.evaluation as evaluation
 from driftnet.cli import _UsageError, config_from_mapping, main, parse_config_file
 from driftnet.ensembles import AddExpRegressor, SfnrConfig
 from driftnet.evaluation import ExperimentConfig, parse_result_csv
 from driftnet.learners import EmaForecaster, RunningMeanRegressor, SgdLinearRegressor
+from driftnet.network import SquaredErrorWindow
 from driftnet.streams import parse_regression_csv
 
 
@@ -309,6 +313,78 @@ def test_run_output_in_a_missing_directory_fails_before_any_seed_runs(tmp_path, 
     cfg = write_config(tmp_path, BASIC + f"{key} = {out}\n")
     assert main(["run", cfg]) == 2
     assert f"cannot write {out}: no directory {out.parent}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["out", "drift_log"])
+def test_run_output_naming_a_directory_fails_before_any_seed_runs(tmp_path, capsys, monkeypatch, key):
+    def no_seed_runs(*args):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(evaluation, "_run_single_seed", no_seed_runs)
+    folder = tmp_path / "results"
+    folder.mkdir()
+    cfg = write_config(tmp_path, BASIC + f"{key} = {folder}\n")
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {folder}: it is a directory\n"
+
+
+@pytest.mark.parametrize("algorithm", evaluation.ALGORITHMS)
+def test_run_whose_squared_errors_overflow_fails_and_writes_nothing(tmp_path, capsys, algorithm):
+    # every forecast is finite, but its error's square is not
+    out, drift_log = tmp_path / "r.csv", tmp_path / "d.csv"
+    cfg = write_config(tmp_path, f"algorithm = {algorithm}\nlength = 600\ndim = 10\nlearning_rate = 1e200\n"
+                                 f"timing = false\nout = {out}\ndrift_log = {drift_log}\n")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {algorithm} made squared errors whose sum overflows "
+                        r"at instance \d+ \(seed 1\)\n", err), err
+    assert not out.exists() and not drift_log.exists()
+
+
+def test_run_that_overflows_on_rows_prints_only_its_error(tmp_path, capsys):
+    # the step on rows overflows; numpy must not warn of it ahead of the runner's error
+    cfg = write_config(tmp_path, "algorithm = addexp\nlength = 600\ndim = 3\nlearning_rate = 1e308\n"
+                                 "timing = false\n")
+    assert main(["run", cfg]) == 2
+    assert (capsys.readouterr().err
+            == "error: addexp made squared errors whose sum overflows at instance 1 (seed 1)\n")
+
+
+HUGE = 10 ** 8  # more values than any test allocates
+
+
+class _NumpyRefusingHugeArrays:
+    """numpy as a module sees it, except that ``empty`` refuses a huge array."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, *args, **kwargs):
+        if np.prod(shape) >= HUGE:
+            raise AssertionError(f"allocated {shape} before the check")
+        return np.empty(shape, *args, **kwargs)
+
+
+@pytest.mark.parametrize("settings, message", [
+    (f"capacity = {2 * HUGE}\n", f"capacity must be at most 1_000_000, got {2 * HUGE}"),
+    (f"window_size = {2 * HUGE}\n", f"window_size must be at most 10_000_000, got {2 * HUGE}"),
+], ids=["capacity", "window_size"])
+def test_run_setting_that_sizes_an_allocation_is_capped_before_it(tmp_path, capsys, monkeypatch,
+                                                                   settings, message):
+    # a setting that is too large must be refused without being allocated
+    init = SquaredErrorWindow.__init__
+
+    def window_init(self, length):
+        if length >= HUGE:
+            raise AssertionError(f"allocated {length} slots before the check")
+        init(self, length)
+
+    monkeypatch.setattr(driftnet.adwin, "np", _NumpyRefusingHugeArrays())
+    monkeypatch.setattr(SquaredErrorWindow, "__init__", window_init)
+    cfg = write_config(tmp_path, BASIC.replace("window_size = 100\n", "") + settings)
+    assert main(["run", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("first, second", [("data", "out"), ("data", "drift_log"),

@@ -369,7 +369,7 @@ DRIFTS = {"none": (), "abrupt": ((CHUNK, 1),), "gradual": ((CHUNK // 2, 2000),),
 
 
 def learner_state(learner):
-    """An SGD expert's state in bytes, its scratch buffer aside; a wrapper's is its inner one's."""
+    """An SGD expert's state in bytes; a wrapper's is its inner one's."""
     learner = getattr(learner, "inner", learner)
     if not learner.n_updates:
         return learner.learning_rate
@@ -732,11 +732,11 @@ def test_the_pass_exercises_every_twin():
 # ---------------------------------------------------------------------------
 
 MUTATIONS = [
-    ("learners", "divide(SgdLinearRegressor._GRAD_CLIP", "divide(2 * SgdLinearRegressor._GRAD_CLIP", "bank"),
-    ("learners", "np.subtract(n, 1.0, out=g)", "np.subtract(n, 0.0, out=g)", "bank"),
-    ("learners", "np.vecdot(w, xs, out=g)\n        g += bias\n        return",
-     "np.sum(w * xs, axis=1, out=g)\n        g += bias\n        return", "bank"),
-    ("learners", "np.divide(tmp, n_col, out=xs)", "np.multiply(tmp, 1.0 / n_col, out=xs)", "bank"),
+    ("learners", "g *= SgdLinearRegressor._GRAD_CLIP /", "g *= 2 * SgdLinearRegressor._GRAD_CLIP /", "bank"),
+    ("learners", "divisor = n - 1.0", "divisor = n - 0.0", "bank"),
+    ("learners", "np.vecdot(w, (x - mean) * inv_std)", "np.sum(w * ((x - mean) * inv_std), axis=1)", "bank"),
+    ("learners", "mean += delta / n\n        xs = x - mean", "mean += delta * (1.0 / n)\n        xs = x - mean",
+     "bank"),
     ("learners", "self._inv_std[i] = learner._inv_std", "self._inv_std[i] = 1.0", "bank"),
     ("ensembles", "== self._trainee_at:", "== self._trainee_at + 1:", "trainee"),
     ("ensembles", "max(0, self.config.period", "max(1, self.config.period", "trainee"),
