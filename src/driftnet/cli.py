@@ -235,7 +235,7 @@ def main(argv=None) -> int:
             return _cmd_gen(args)
         print(describe_presets())
         return 0
-    except (_UsageError, OSError, RuntimeError, ValueError) as exc:
+    except (_UsageError, OSError, RuntimeError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, _UsageError) else 2
 

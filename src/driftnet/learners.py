@@ -226,10 +226,14 @@ class ExpertBank:
     ``add_trained`` warm-starts a learner on the window instead.
     """
 
+    MAX_CAPACITY = 10 ** 4  # rows allocated at the first forecast, so a capacity is capped before they are
+
     def __init__(self, prototype: OnlineRegressor, capacity: int):
         if capacity < 2:
             raise ValueError(f"k_max must be at least 2, got {capacity}: an evolution at "
                              "capacity retires an expert only beside its replacement")
+        if capacity > self.MAX_CAPACITY:
+            raise ValueError(f"k_max must be at most {self.MAX_CAPACITY:_}, got {capacity}")
         self.prototype = prototype
         self.capacity = capacity
         self.ids: list[int] = []

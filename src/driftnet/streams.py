@@ -21,11 +21,12 @@ cell that is not a finite number is a StreamFormatError naming its
 line. A row of empty cells is not blank, so it is such an error too.
 
 The reader reads its source once, in blocks of 8,192 lines, and reads
-each block in bulk: one ``np.loadtxt`` over its data lines, after a
-check that every line is as wide as the first row; a block of blank
-lines adds no rows. Where that step cannot read a block (a quoted
-cell, ``1_000``, a carriage return, an empty or non-finite cell, a line
-of another width), the line reader reads the rest of the source from
+each block in bulk: one ``np.loadtxt`` over every cell of its data
+lines, and numpy's date parser for a block whose dates are all
+YYYY-MM-DD; a block of blank lines adds no rows. Where that step cannot
+read a block (a quoted cell, ``1_000``, a carriage return or a NUL, an
+empty or non-finite cell, a line of another width, a date that is not
+ISO), the line reader reads the rest of the source from
 that block's first line, and that path alone writes the error messages,
 so each one still names its line and column. It can start there
 because a block read in bulk holds no quote and no carriage return, so
@@ -63,6 +64,7 @@ import numpy as np
 from .prng import make_rng
 
 YAHOO_HEADER = ("Date", "Open", "High", "Low", "Close", "Volume", "Adj Close")
+MAX_DIM = 10 ** 5  # a synthetic stream's dimension, capped before a concept is drawn
 
 
 class StreamFormatError(ValueError):
@@ -143,8 +145,8 @@ class DriftStreamSpec:
 
 def check_stream_shape(length: int, dim: int, drift_times, drift_widths) -> None:
     """Raise ValueError unless these describe a synthetic stream that can be generated."""
-    if length < 0 or dim < 2:
-        raise ValueError("synthetic streams need length >= 0 and dim >= 2")
+    if length < 0 or not 2 <= dim <= MAX_DIM:
+        raise ValueError(f"synthetic streams need length >= 0 and dim in [2, {MAX_DIM:_}], got {dim}")
     if len(drift_times) != len(drift_widths):
         raise ValueError("drift_times and drift_widths lengths differ")
     if any(w < 1 for w in drift_widths):
@@ -166,10 +168,10 @@ def make_hyperplane_concept(seed: int, d: int) -> HyperplaneConcept:
     seed : int
         64-bit seed.
     d : int
-        Dimension, at least 2.
+        Dimension, at least 2 and at most ``MAX_DIM``.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    if not 2 <= d <= MAX_DIM:
+        raise ValueError(f"dimension must lie in [2, {MAX_DIM:_}], got {d}")
     rng = make_rng(seed)
     while True:
         w = rng.uniform(-1.0, 1.0, d)
@@ -228,6 +230,7 @@ def _target_bound(d: int) -> float:
 
 
 _CHUNK = 8192  # instances drawn per block, so a stream of any length stays lazy
+_CHUNK_DRAWS = 2 ** 20  # and at most this many draws per block, so a stream of any dimension stays small
 
 
 def generate_drift_stream(spec: DriftStreamSpec) -> Iterator[Instance]:
@@ -240,8 +243,9 @@ def generate_drift_stream(spec: DriftStreamSpec) -> Iterator[Instance]:
     reproducible from ``spec.seed`` alone. Instances are finite by
     construction (x in the unit cube, y within the half diagonal).
 
-    The draws come in blocks of up to 8,192 instances, one row of d
-    features and then one value per drift point each, which is the
+    The draws come in blocks of up to 8,192 instances, and of at most
+    2**20 draws unless one instance takes more. Each instance draws one
+    row of d features and then one value per drift point, which is the
     order an instance-by-instance loop draws them in. The mix
     probability is computed only inside each drift's ``_mix_window``.
     Every ``x`` is a row view of its block's features alone, copied out
@@ -253,8 +257,9 @@ def generate_drift_stream(spec: DriftStreamSpec) -> Iterator[Instance]:
     w = np.array([concept.w for concept in spec.concepts])
     c = np.array([concept.c for concept in spec.concepts])
     bound = _target_bound(d)
-    for start in range(0, spec.length, _CHUNK):
-        times = range(start, min(start + _CHUNK, spec.length))
+    step = max(1, min(_CHUNK, _CHUNK_DRAWS // (d + len(drifts))))
+    for start in range(0, spec.length, step):
+        times = range(start, min(start + step, spec.length))
         draws = rng.random(len(times) * (d + len(drifts))).reshape(len(times), -1)
         x = draws[:, :d].copy()
         active = np.zeros(len(times), dtype=np.intp)
@@ -330,27 +335,45 @@ def _row_values(cells: list[str], names: Sequence, lineno: int, dated: bool) -> 
     return values
 
 
+# the least and the greatest byte at each place of a YYYY-MM-DD date in a 16-byte text cell
+_ISO_LOW = np.frombuffer(b"0000-00-00".ljust(16, b"\0"), np.uint8)
+_ISO_HIGH = np.frombuffer(b"9999-99-99".ljust(16, b"\0"), np.uint8)
+
+
 def _columns(block: list[str], width: int, delimiter: str,
              dated: bool) -> tuple[np.ndarray | None, np.ndarray]:
     """A block of lines read in bulk: the ordinals of their dates (or None) and their numbers.
 
-    A block of blank lines gives no rows. Raises ValueError wherever only
-    ``_rows`` can say what the lines hold: a line holds a carriage return
-    or is not ``width`` cells wide, a cell is not a finite number that
+    One ``np.loadtxt`` reads every cell of the block's data lines into a
+    row of ``width`` fields, so it refuses a line of another width
+    itself; with ``dated`` the first field is 16 bytes of text. When
+    every date is exactly YYYY-MM-DD, numpy's date parser gives the
+    ordinals, which on that form agree with ``date.fromisoformat`` but
+    for year 0; a block with any other date, or a year 0, takes
+    ``date.fromisoformat`` line by line. A block of blank lines gives no
+    rows. Raises ValueError wherever only ``_rows`` can say what the
+    lines hold: a line holds a carriage return or a NUL, or is not
+    ``width`` cells wide, a cell is not a finite number that
     ``np.loadtxt`` reads (a quoted cell, ``1_000``, an empty cell), or
     with ``dated`` a first cell is not an ISO date.
     """
     data = [line for line in block if line.strip()]
-    # loadtxt ignores the cells past ``usecols``, so the width is checked here
-    if any("\r" in line for line in block) or any(line.count(delimiter) != width - 1 for line in data):
+    if any("\r" in line or "\0" in line for line in block):  # a text cell drops trailing NULs
         raise ValueError("a line the bulk step does not read")
-    table = np.loadtxt(data, delimiter=delimiter, comments=None, quotechar=None, ndmin=2,
-                       usecols=range(dated, width)) if data else np.empty((0, width - dated))
-    if not np.isfinite(table).all():
+    row = np.dtype([("day", "S16")] * dated + [("numbers", float, (width - dated,))])
+    table = np.loadtxt(data, dtype=row, delimiter=delimiter, comments=None, quotechar=None,
+                       ndmin=1) if data else np.empty(0, row)
+    if not np.isfinite(table["numbers"]).all():
         raise ValueError("a non-finite cell")
-    days = np.fromiter((date.fromisoformat(line.partition(delimiter)[0].strip()).toordinal()
-                        for line in data), np.int64, len(data)) if dated else None
-    return days, table
+    if not dated:
+        return None, table["numbers"]
+    cells = table["day"][:, None].view(np.uint8)  # each date's 16 bytes
+    if ((cells >= _ISO_LOW) & (cells <= _ISO_HIGH)).all():
+        days = table["day"].astype("M8[D]").astype(np.int64) + date(1970, 1, 1).toordinal()
+        if (days > 0).all():  # numpy reads year 0, which ``date`` refuses
+            return days, table["numbers"]
+    return np.fromiter((date.fromisoformat(line.partition(delimiter)[0].strip()).toordinal()
+                        for line in data), np.int64, len(data)), table["numbers"]
 
 
 _BLOCK = 8192  # data lines read in bulk at a time, so a parse holds one block of text

@@ -15,6 +15,7 @@ import pytest
 
 import driftnet.adwin
 import driftnet.evaluation as evaluation
+import driftnet.learners
 from driftnet.cli import _UsageError, config_from_mapping, main, parse_config_file
 from driftnet.ensembles import AddExpRegressor, SfnrConfig
 from driftnet.evaluation import ExperimentConfig, parse_result_csv
@@ -353,23 +354,28 @@ def test_run_that_overflows_on_rows_prints_only_its_error(tmp_path, capsys):
 HUGE = 10 ** 8  # more values than any test allocates
 
 
+def _refusing_huge(make):
+    def allocate(shape, *args, **kwargs):
+        if np.prod(shape) >= HUGE:
+            raise AssertionError(f"allocated {shape} before the check")
+        return make(shape, *args, **kwargs)
+    return staticmethod(allocate)
+
+
 class _NumpyRefusingHugeArrays:
-    """numpy as a module sees it, except that ``empty`` refuses a huge array."""
+    """numpy as a module sees it, except that ``empty`` and ``zeros`` refuse a huge array."""
+
+    empty, zeros = _refusing_huge(np.empty), _refusing_huge(np.zeros)
 
     def __getattr__(self, name):
         return getattr(np, name)
-
-    @staticmethod
-    def empty(shape, *args, **kwargs):
-        if np.prod(shape) >= HUGE:
-            raise AssertionError(f"allocated {shape} before the check")
-        return np.empty(shape, *args, **kwargs)
 
 
 @pytest.mark.parametrize("settings, message", [
     (f"capacity = {2 * HUGE}\n", f"capacity must be at most 1_000_000, got {2 * HUGE}"),
     (f"window_size = {2 * HUGE}\n", f"window_size must be at most 10_000_000, got {2 * HUGE}"),
-], ids=["capacity", "window_size"])
+    (f"kmax = {2 * HUGE}\n", f"k_max must be at most 10_000, got {2 * HUGE}"),
+], ids=["capacity", "window_size", "kmax"])
 def test_run_setting_that_sizes_an_allocation_is_capped_before_it(tmp_path, capsys, monkeypatch,
                                                                    settings, message):
     # a setting that is too large must be refused without being allocated
@@ -381,6 +387,7 @@ def test_run_setting_that_sizes_an_allocation_is_capped_before_it(tmp_path, caps
         init(self, length)
 
     monkeypatch.setattr(driftnet.adwin, "np", _NumpyRefusingHugeArrays())
+    monkeypatch.setattr(driftnet.learners, "np", _NumpyRefusingHugeArrays())
     monkeypatch.setattr(SquaredErrorWindow, "__init__", window_init)
     cfg = write_config(tmp_path, BASIC.replace("window_size = 100\n", "") + settings)
     assert main(["run", cfg]) == 1
@@ -503,6 +510,24 @@ def test_gen_seed_outside_64_bits_is_usage_error(capsys, seed):
     captured = capsys.readouterr()
     assert "seeds must lie in [0, 2**64)" in captured.err
     assert captured.out == ""
+
+
+def test_gen_dimension_above_the_cap_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["gen", "--length", "10", "--dim", "100001", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: synthetic streams need length >= 0 and dim in "
+                                       "[2, 100_000], got 100001\n")
+    assert not out.exists()
+
+
+def test_run_out_of_memory_is_runtime_error(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 6.10 GiB for an array with shape (8192, 100000)")
+
+    monkeypatch.setattr(evaluation, "_run_single_seed", out_of_memory)
+    assert main(["run", write_config(tmp_path, BASIC)]) == 2
+    assert capsys.readouterr().err == ("error: Unable to allocate 6.10 GiB for an array with shape "
+                                       "(8192, 100000)\n")
 
 
 def test_gen_mismatched_drift_args_rejected(capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import io
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from driftnet import streams
+from driftnet.prng import make_rng
 from driftnet.streams import (
     YAHOO_HEADER,
     DriftStreamSpec,
@@ -24,7 +26,7 @@ from driftnet.streams import (
     parse_yahoo_csv,
     sigmoid_mix_probability,
 )
-from test_twins import CHUNK, fields, outcome, refuse, row_types_ok
+from test_twins import CHUNK, fields, outcome, reference_stream, refuse, row_types_ok
 
 
 def test_concept_weights_are_unit_norm():
@@ -38,6 +40,14 @@ def test_concept_weights_are_unit_norm():
 def test_concept_requires_dim_at_least_two():
     with pytest.raises(ValueError):
         make_hyperplane_concept(1, 1)
+
+
+def test_concept_dimension_is_capped():
+    make_hyperplane_concept(1, streams.MAX_DIM)
+    with pytest.raises(ValueError, match=r"dimension must lie in \[2, 100_000\], got 100001"):
+        make_hyperplane_concept(1, streams.MAX_DIM + 1)
+    with pytest.raises(ValueError, match=r"dim in \[2, 100_000\], got 100001"):
+        streams.check_stream_shape(10, streams.MAX_DIM + 1, (), ())
 
 
 def test_concepts_differ_across_seeds():
@@ -205,6 +215,40 @@ def test_generation_is_lazy():
         tracemalloc.stop()
     assert first.index == 0
     assert peak < 4 * 2 ** 20
+
+
+class _RecordingRng:
+    """A generator that records each size of draws asked of it, and refuses more than 2**20 at once."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = make_rng(seed), []
+
+    def random(self, size):
+        self.sizes.append(size)
+        assert size <= 2 ** 20, f"asked for {size} draws at once"
+        return self.rng.random(size)
+
+
+def _recorded(monkeypatch, spec, n):
+    """The first ``n`` instances of ``spec``'s stream, and the sizes of the draws they took."""
+    made = []
+    monkeypatch.setattr(streams, "make_rng", lambda seed: made.append(_RecordingRng(seed)) or made[-1])
+    return list(itertools.islice(generate_drift_stream(spec), n)), made[0].sizes
+
+
+def test_a_wide_stream_draws_blocks_of_at_most_2_to_the_20_values(monkeypatch):
+    # 2**20 draws hold 2,614 instances of 400 features and one drift, so 6,000 take three blocks
+    concepts = tuple(make_hyperplane_concept(j, 400) for j in range(2))
+    spec = DriftStreamSpec(concepts=concepts, drift_times=(3000,), drift_widths=(50,), length=6000, seed=5)
+    instances, sizes = _recorded(monkeypatch, spec, spec.length)
+    assert sizes == [2614 * 401, 2614 * 401, 772 * 401]
+    assert fields(instances) == fields(reference_stream(spec))
+
+
+def test_a_stream_of_the_largest_dimension_draws_a_small_block(monkeypatch):
+    concepts = (make_hyperplane_concept(1, streams.MAX_DIM),)
+    _, sizes = _recorded(monkeypatch, DriftStreamSpec(concepts=concepts, length=CHUNK, seed=1), 1)
+    assert sizes == [10 * streams.MAX_DIM]
 
 
 # ---------------------------------------------------------------------------

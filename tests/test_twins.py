@@ -27,7 +27,8 @@ its draw or its input. Every case also counts what it exercised
 (detector cuts, evolutions at capacity, trainee promotions and drops,
 clipped SGD steps, clamped detector values, bulk-step fallbacks,
 hand-offs to the line reader after a block read in bulk, results read
-across blocks), and ``test_the_pass_exercises_every_twin`` fails when
+across blocks, blocks of dates that the bulk step read in one pass or
+line by line), and ``test_the_pass_exercises_every_twin`` fails when
 a count over the whole pass falls below its floor. The cases are cached, so that test
 repeats no work.
 
@@ -567,13 +568,17 @@ def detector_case(case):
                           int(rng.integers(1, 50)), values.tolist())
 
 
-# one defect per case, or none; those of AS_WRITTEN leave the numbers as written, and only the
-# block cases draw the last two
+# one defect per case, or none; those of AS_WRITTEN leave the numbers as written, the bulk step
+# reads those of IN_BULK itself, and only the block cases draw the last two; a date's defect edits
+# the first cell, which holds a number in the numeric layout
 DEFECTS = ("none", "blank-lines", "spaced-cell", "blank-carriage-return", "quoted-cell", "crlf",
            "extra-field", "missing-field", "non-finite", "empty-cell", "underscore", "bad-date",
-           "straddling-cell", "late-crlf")
-AS_WRITTEN = {"none", "blank-lines", "spaced-cell", "quoted-cell", "crlf", "straddling-cell", "late-crlf"}
-WHOLE_FILE_CASES = 40  # the cases past these read blocks of a few lines
+           "padded-date", "basic-date", "week-date", "year-zero", "leap-day", "long-date",
+           "non-ascii-date", "nul-date", "straddling-cell", "late-crlf")
+AS_WRITTEN = {"none", "blank-lines", "spaced-cell", "quoted-cell", "crlf", "padded-date", "straddling-cell",
+              "late-crlf"}
+IN_BULK = {"none", "blank-lines", "spaced-cell", "padded-date", "basic-date"}
+WHOLE_FILE_CASES = 64  # the cases past these read blocks of a few lines
 
 
 @functools.cache
@@ -623,7 +628,12 @@ def parse_case(case):
     # each edit: (the cell, the template its text takes); the date is the Yahoo layout's first cell
     edits = {"spaced-cell": (cell, " {} "), "quoted-cell": (cell, '"{}"'), "straddling-cell": (cell, '"{}\n"'),
              "non-finite": (numeric, ("nan", "inf", "-inf")[int(rng.integers(3))]),
-             "empty-cell": (numeric, ""), "underscore": (numeric, "1_000"), "bad-date": (0, "2014-13-01")}
+             "empty-cell": (numeric, ""), "underscore": (numeric, "1_000"), "bad-date": (0, "2014-13-01"),
+             "padded-date": (0, "  {}  "), "basic-date": (0, "20140102"), "week-date": (0, "2014-W01-4"),
+             "year-zero": (0, "0000-01-01"), "long-date": (0, "{}T12:00:00"), "nul-date": (0, "{}\0"),
+             "leap-day": (0, ("2013-02-29", "2012-02-29")[int(rng.integers(2))]),
+             # the tenth character becomes one that Latin-1 holds, or one that it does not
+             "non-ascii-date": (0, "{:.9}" + ("\u00e9", "\u0665")[int(rng.integers(2))])}
     cells = rows[row]
     if defect == "extra-field":
         cells.append("9")
@@ -643,22 +653,42 @@ def parse_case(case):
     text = "".join(lines)
     if defect == "crlf":
         text = text.replace("\n", "\r\n")
-    tried, columns = [], streams._columns
+    tried, columns, singly, dated = [], streams._columns, [], []
+
+    class SinglyDate(date):  # notes each date read on its own
+        @classmethod
+        def fromisoformat(cls, text):
+            singly.append(text)
+            return date.fromisoformat(text)
+
+    def counted(*args):
+        """``_columns(*args)``, noting for a block of dates whether they were read one at a time."""
+        tried.append(args)
+        before = len(singly)
+        days, table = columns(*args)
+        if len(table) and days is not None:
+            dated.append(len(singly) > before)
+        return days, table
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(streams, "_BLOCK", size if blocks else streams._BLOCK)
-        patch.setattr(streams, "_columns", lambda *args: tried.append(args) or columns(*args))
+        patch.setattr(streams, "_columns", counted)
+        patch.setattr(streams, "date", SinglyDate)
         bulk, by_row = outcome(parse, text)
         handed_off = by_row > 0 and len(tried) > 1  # the line reader took over after a bulk block
+        by_line = dated.count(True)
+        in_one_pass = dated.count(False)
         one_shot = iter(io.StringIO(text, newline="\n").readlines())  # split after "\n" alone, as text is
         assert outcome(parse, one_shot) == (bulk, by_row), text
         assert bulk == outcome(parse, text, bulk=False)[0], text
     if defect in AS_WRITTEN:
         assert bulk == [(np.delete(v, target).tobytes(), float(v[target]), i) for i, v in enumerate(numbers)]
     # the bulk step reads these itself, also a block of blank lines alone
-    assert by_row == 0 or defect not in DEFECTS[:3], text
+    assert by_row == 0 or defect not in IN_BULK, text
     across = blocks and ordered and by_row == 0 and isinstance(bulk, list)
     return Counter({"bulk-step fallbacks": by_row > 0, "hand-offs after a bulk block": handed_off,
-                    "results read across blocks": across})
+                    "results read across blocks": across, "date blocks read in one pass": in_one_pass,
+                    "date blocks read line by line": by_line})
 
 
 WINDOW_KINDS = ("zero", "tiny", "huge", "mixed")
@@ -696,7 +726,7 @@ def generator_case(case):
 
 # each pass: its case function and fixed cases, the cheap ones first; the 24 ensemble cases
 # take every stream kind in each SFNR mode with the period below, at and above the buffer
-PASSES = {"parse": (parse_case, range(WHOLE_FILE_CASES + 52)),
+PASSES = {"parse": (parse_case, range(WHOLE_FILE_CASES + 88)),
           "ring": (window_case, [*itertools.product(WINDOW_KINDS, (1, 2, 7, 100)), *range(40)]),
           "generator": (generator_case, list(itertools.product(LENGTHS, DRIFTS))),
           "scan": (detector_case, [*itertools.product(SCAN_LEVELS, (64, 2000), (1, 32)), *range(60)]),
@@ -718,7 +748,8 @@ def test_fast_path_matches_its_twin(name, case):
 FLOORS = {"detector cuts": 150, "clamped detector values": 2500, "trainee promotions": 35,
           "trainee drops": 13, "ScaleFreeRegressor evolutions at capacity": 70, "clipped SGD steps": 30000,
           "AddExpRegressor evolutions at capacity": 17000, "bulk-step fallbacks": 34,
-          "hand-offs after a bulk block": 12, "results read across blocks": 4}
+          "hand-offs after a bulk block": 12, "results read across blocks": 4,
+          "date blocks read in one pass": 48, "date blocks read line by line": 4}
 
 
 def test_the_pass_exercises_every_twin():
@@ -761,13 +792,16 @@ MUTATIONS = [
     ("streams", "active[draws[:, d + j - 1] < mix]", "active[draws[:, d - j] < mix]", "generator"),
     ("streams", "mix = np.ones(len(times))", "mix = np.zeros(len(times))", "generator"),
     ("streams", ".reshape(len(times), -1)", ".reshape(-1, len(times)).T", "generator"),
-    ("streams", "line.count(delimiter) != width - 1", "line.count(delimiter) < width - 1", "parse"),
-    ("streams", "if not np.isfinite(table).all():", "if False:", "parse"),
+    ("streams", "ndmin=1)", "ndmin=1, usecols=range(width))", "parse"),
+    ("streams", 'if not np.isfinite(table["numbers"]).all():', "if False:", "parse"),
+    ("streams", "if (days > 0).all():", "if True:", "parse"),
+    ("streams", 'b"9999-99-99".ljust(16, b"\\0")', 'b"9999-99-99".ljust(16, b"\\xff")', "parse"),
+    ("streams", ' or "\\0" in line', "", "parse"),
+    ("streams", 'astype("M8[D]")', 'astype("M8[M]")', "parse"),
     ("streams", "block if line.strip()]", "block[1:] if line.strip()]", "parse"),
     ("streams", "np.argsort(days, kind=\"stable\")", "np.argsort(-days, kind=\"stable\")[::-1]", "parse"),
-    ("streams", 'if any("\\r" in line for line in block)', 'if data or any("\\r" in line for line in block)',
-     "parse"),
-    ("streams", 'any("\\r" in line for line in block) or ', "", "parse"),
+    ("streams", 'if any("\\r" in line', 'if data or any("\\r" in line', "parse"),
+    ("streams", '"\\r" in line or ', "", "parse"),
     ("streams", "_rows(chain(block, lines), delimiter, after)", "_rows(lines, delimiter, after + len(block))",
      "parse"),
     ("streams", "after += len(block)", "after += len(block) - 1", "parse"),
